@@ -16,16 +16,19 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Run the key benchmarks and refresh the machine-readable trajectory
-# point (BENCH_6.json). BENCH_TIME=200ms make bench for a quick pass.
-bench:
-	scripts/bench.sh
+# Run the benchmark (perf/README.md): every workload, BENCH_RUNS fresh
+# 30-s runs each plus one traced run, summarized into BENCH_OUT. The
+# full default takes about half an hour; BENCH_RUNS=3 is a quick pass.
+BENCH_RUNS ?= 10
+BENCH_OUT ?= .bench-head.json
 
-# Quick perf check against the latest committed trajectory point: runs
-# the key benchmarks into a scratch file and prints the delta table
-# without touching the committed BENCH_*.json history.
+bench:
+	bash perf/run.sh -runs $(BENCH_RUNS) -out $(BENCH_OUT)
+
+# Compare BENCH_OUT (from make bench) against the committed baseline
+# with the bounds in BENCHMARK.json; exits 1 on a regression.
 bench-diff:
-	BENCH_TIME=$${BENCH_TIME:-200ms} scripts/bench.sh .bench-head.json
+	bash perf/run.sh -compare perf/results/baseline.json $(BENCH_OUT)
 
 # Regenerate the committed QoR baseline from a fresh gate run.
 qor-baseline:

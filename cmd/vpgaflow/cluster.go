@@ -125,7 +125,7 @@ func fetchClusterStatus(ctx context.Context, base string) (*clusterStatus, error
 // a one-line cluster rollup.
 func renderClusterStatus(w io.Writer, base string, st *clusterStatus) {
 	fmt.Fprintf(w, "%s  up %s  nodes %d/%d up  jobs %d tracked / %d done / %d failed\n",
-		base, (time.Duration(st.UptimeSeconds*float64(time.Second))).Round(time.Second),
+		base, (time.Duration(st.UptimeSeconds * float64(time.Second))).Round(time.Second),
 		st.NodesUp, len(st.Nodes), st.JobsTracked, st.Cluster.JobsCompleted, st.Cluster.JobsFailed)
 	fmt.Fprintf(w, "tickets %d (%d retries, %d steals, %d reshards)  cache hits: peer %d + worker %d (%.0f%%)\n\n",
 		st.Cluster.Tickets, st.Cluster.TicketRetries, st.Cluster.Steals, st.Cluster.Reshards,

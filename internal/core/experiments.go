@@ -43,8 +43,11 @@ type MatrixOptions struct {
 	// Stages, when set, is the stage-granular build cache every cell
 	// runs against (see Config.Stages): cells sharing a key-chain
 	// prefix — every clock-pinned variant of one (design, arch), both
-	// flows of one placement — compute it once. Pure acceleration:
-	// reports are bit-identical with or without it.
+	// flows of one placement — compute it once. When nil, each
+	// (design, arch) runs against an in-memory tier of its own that
+	// keeps only the compacted netlist and placement, so flow b still
+	// restores flow a's. Pure acceleration: reports are bit-identical
+	// with or without it.
 	Stages *StageCache
 	// Parallel bounds the number of concurrently executing flow runs:
 	// 0 uses GOMAXPROCS, 1 forces fully sequential execution. For a
@@ -227,9 +230,15 @@ func sortLedger(errs []*FlowError) {
 // bounded worker pool under the flow supervisor. The clock period of
 // each design is fixed across its four runs — 1.2× the post-layout
 // arrival of the first run — so slack comparisons are apples to
-// apples, mirroring the paper's single cycle time per table. Designs
-// run concurrently; within a design the three clock-dependent runs fan
-// out as soon as the clock-pinning run finishes.
+// apples, mirroring the paper's single cycle time per table.
+//
+// Each (design, arch) anneals once. Its two cells form a chain that
+// holds one pool slot: flow b starts right after flow a and restores
+// that run's compacted netlist and placement from the stage cache —
+// opts.Stages, or else an in-memory tier of the chain's own, dropped
+// when the chain ends. Designs run concurrently; within a design the
+// clock-pinning run (granular / flow a) heads the granular chain, and
+// the lut chain starts as soon as it finishes.
 //
 // Failures never crash or hang the pool: a panicking worker, a timed
 // out run, or an unroutable defect map becomes a *FlowError in the
@@ -290,12 +299,10 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 		}
 		mu.Unlock()
 	}
-	// runOne executes one flow run on a pool slot; it returns nil
-	// without running when the matrix is already aborting. A nil
+	// runOne executes one flow run on the caller's pool slot; it returns
+	// nil without running when the matrix is already aborting. A nil
 	// return always deposits the cell's placeholder ticket.
-	runOne := func(d bench.Design, arch *cells.PLBArch, flow FlowKind, clock float64, ticket int) *Report {
-		sem <- struct{}{}
-		defer func() { <-sem }()
+	runOne := func(d bench.Design, arch *cells.PLBArch, flow FlowKind, clock float64, stages *StageCache, ticket int) *Report {
 		mu.Lock()
 		bail := firstErr != nil && !opts.ContinueOnError
 		mu.Unlock()
@@ -303,7 +310,7 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 			Arch: arch, Flow: flow, ClockPeriod: clock,
 			Seed: opts.Seed, PlaceEffort: opts.PlaceEffort, PlaceWorkers: opts.PlaceWorkers,
 			Verify: opts.Verify, Defects: opts.Defects, RepairBudget: opts.RepairBudget,
-			Stages: opts.Stages, routePool: pool,
+			Stages: stages, routePool: pool,
 		}
 		if bail {
 			skip(ticket)
@@ -338,6 +345,26 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 			emitter.deposit(ticket, line)
 		}
 	}
+	// runChain executes the cells of one (design, arch) from flow index
+	// from on, in flow order, on the caller's pool slot. A failed flow a
+	// does not skip its flow b, which then computes the placement itself.
+	runChain := func(di int, d bench.Design, ai, from int, clock float64, stages *StageCache) {
+		for fi := from; fi < len(flows); fi++ {
+			ticket := seq(di, ai, fi)
+			if rep := runOne(d, archs[ai], flows[fi], clock, stages, ticket); rep != nil {
+				store(d, archs[ai], flows[fi], rep, ticket)
+			}
+		}
+	}
+	// tier returns the stage cache one (design, arch) chain runs
+	// against: opts.Stages, or else a fresh in-memory tier that lives
+	// only as long as the chain, since no other chain shares its keys.
+	tier := func() *StageCache {
+		if opts.Stages != nil {
+			return opts.Stages
+		}
+		return newMemStageCache()
+	}
 	// skipDependents records the three clock-dependent cells of a design
 	// whose clock-pinning run failed, so the ledger accounts for every
 	// cell that did not produce a report.
@@ -358,10 +385,13 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 		wg.Add(1)
 		go func(di int, d bench.Design) {
 			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
 			// The first run pins the design's clock period for all four
 			// runs: 1.2× its post-layout arrival, so slacks hover near
 			// zero like the paper's Table 2.
-			first := runOne(d, archs[0], FlowA, 0, seq(di, 0, 0))
+			stages := tier()
+			first := runOne(d, archs[0], FlowA, 0, stages, seq(di, 0, 0))
 			if first == nil {
 				if opts.ContinueOnError {
 					skipDependents(di, d)
@@ -374,24 +404,16 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 			first.Reclock(clock)
 			store(d, archs[0], FlowA, first, seq(di, 0, 0))
 
-			// Fan out the three clock-dependent runs.
-			var iwg sync.WaitGroup
-			for ai, arch := range archs {
-				for fi, flow := range flows {
-					if ai == 0 && flow == FlowA {
-						continue
-					}
-					iwg.Add(1)
-					go func(ai, fi int, arch *cells.PLBArch, flow FlowKind) {
-						defer iwg.Done()
-						ticket := seq(di, ai, fi)
-						if rep := runOne(d, arch, flow, clock, ticket); rep != nil {
-							store(d, arch, flow, rep, ticket)
-						}
-					}(ai, fi, arch, flow)
-				}
-			}
-			iwg.Wait()
+			// The pin heads the granular chain, which keeps this slot for
+			// its flow b; the lut chain waits for a slot of its own.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				runChain(di, d, 1, 0, clock, tier())
+			}()
+			runChain(di, d, 0, 1, clock, stages)
 		}(di, d)
 	}
 	wg.Wait()

@@ -532,9 +532,10 @@ func execFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifa
 		return hit
 	}
 	// save stores a computed stage's artifact, best-effort; without a
-	// cache the payload is never even encoded.
+	// cache, or for a stage the cache does not keep, the payload is
+	// never even encoded.
 	save := func(stage string, build func() any) {
-		if stages == nil || prefix == nil {
+		if !stages.keeps(stage) || prefix == nil {
 			return
 		}
 		if key := prefix.key(stage); key != "" {

@@ -307,9 +307,9 @@ type ExecOptions struct {
 // addresses its artifacts live under — for a repair-ladder run, the
 // baseline attempt's chain).
 type RunResult struct {
-	Report    *Report     `json:"report"`
-	Artifacts *Artifacts  `json:"-"`
-	StageKeys []StageKey  `json:"stage_keys,omitempty"`
+	Report    *Report    `json:"report"`
+	Artifacts *Artifacts `json:"-"`
+	StageKeys []StageKey `json:"stage_keys,omitempty"`
 }
 
 // Run is the unified pipeline entry point: it resolves the request,

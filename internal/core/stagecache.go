@@ -202,8 +202,13 @@ func (s StageCacheStats) Stages() []string {
 // already carried its output — and a miss when the run computed it.
 // Like tracing, the cache is pure acceleration: reports are
 // bit-identical (after StripMetrics) with or without it.
+//
+// RunMatrix without a cache of its own backs each (design, arch) with
+// an in-memory tier (newMemStageCache): a map instead of a store,
+// keeping only the stages the other flow of the pair can restore.
 type StageCache struct {
 	store *artifact.Store
+	mem   map[string][]byte // the in-memory tier's artifacts (store is nil)
 
 	mu     sync.Mutex
 	counts map[string]*StageCounts
@@ -216,6 +221,24 @@ func NewStageCache(store *artifact.Store) *StageCache {
 		return nil
 	}
 	return &StageCache{store: store, counts: make(map[string]*StageCounts)}
+}
+
+// newMemStageCache returns an empty in-memory stage cache. It keeps only
+// the compact and place artifacts: their keys carry no flow and no
+// clock, so both flows of one (design, arch) share them, while pack
+// and route keys are unique to one matrix cell and would only hold
+// memory. Each artifact has one reader — the pair's flow b — so a
+// lookup hands the artifact over and drops it from the map. A repair
+// ladder that reads one twice recomputes it the second time; reports
+// are the same either way.
+func newMemStageCache() *StageCache {
+	return &StageCache{mem: make(map[string][]byte), counts: make(map[string]*StageCounts)}
+}
+
+// keeps reports whether the cache stores the stage's artifacts, so a
+// run skips encoding the ones it would drop.
+func (c *StageCache) keeps(stage string) bool {
+	return c != nil && (c.store != nil || stage == StageCompact || stage == StagePlace)
 }
 
 // Store exposes the underlying artifact store.
@@ -265,6 +288,13 @@ func (c *StageCache) get(key string) ([]byte, bool) {
 	if c == nil || key == "" {
 		return nil, false
 	}
+	if c.store == nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		raw, ok := c.mem[key]
+		delete(c.mem, key)
+		return raw, ok
+	}
 	return c.store.Get(key)
 }
 
@@ -272,6 +302,12 @@ func (c *StageCache) get(key string) ([]byte, bool) {
 // its shortcut, never this run its result.
 func (c *StageCache) put(key string, payload []byte) {
 	if c == nil || key == "" || payload == nil {
+		return
+	}
+	if c.store == nil {
+		c.mu.Lock()
+		c.mem[key] = payload
+		c.mu.Unlock()
 		return
 	}
 	c.store.Put(key, payload)

@@ -62,28 +62,34 @@ func TestTracingDeterminism(t *testing.T) {
 
 // Every traced run must cover every stage its flow executes, carry
 // consistent solver counters, and export as valid Chrome trace JSON
-// with one row per pool worker.
+// with one row per pool worker. Each (design, arch) anneals once: its
+// flow-a run computes the front end and the placement, and its flow-b
+// run restores them from the matrix's in-memory stage tier.
 func TestTracingStageCoverage(t *testing.T) {
 	suite := smallSuite()
 	tr := obs.NewTracer()
-	if _, err := RunMatrix(context.Background(), suite, MatrixOptions{
+	m, err := RunMatrix(context.Background(), suite, MatrixOptions{
 		Seed: 7, PlaceEffort: 1, Parallel: 2, Trace: tr,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	runs := tr.Runs()
 	if want := len(suite.All()) * 4; len(runs) != want {
 		t.Fatalf("tracer recorded %d runs, want %d", len(runs), want)
 	}
-	shared := []string{"rtl", "synth", "map", "compact", "place", "route", "sta", "power"}
+	every := []string{"place", "route", "sta", "power"}
+	frontEnd := []string{"rtl", "synth", "map", "compact"}
+	computed := map[string][]string{} // design/arch -> labels of runs that annealed
 	for _, run := range runs {
 		have := map[string]bool{}
 		for _, st := range run.StageTimings() {
 			have[st.Stage] = true
 		}
-		want := shared
-		if strings.HasSuffix(run.Label(), "flow b") {
-			want = append(append([]string{}, shared...), "pack", "viamap")
+		flowB := strings.HasSuffix(run.Label(), "flow b")
+		want := every
+		if flowB {
+			want = append(append([]string{}, every...), "pack", "viamap")
 		}
 		for _, s := range want {
 			if !have[s] {
@@ -91,17 +97,45 @@ func TestTracingStageCoverage(t *testing.T) {
 			}
 		}
 		sm := run.SolverMetrics()
-		if sm.AnnealPasses == 0 || sm.AnnealProposed == 0 || sm.AnnealAccepted == 0 {
-			t.Errorf("run %s: empty anneal counters: %+v", run.Label(), sm)
+		annealed := sm.AnnealProposed > 0
+		for _, s := range frontEnd {
+			if have[s] != annealed {
+				t.Errorf("run %s: stage %q present=%v but annealed=%v", run.Label(), s, have[s], annealed)
+			}
 		}
-		if sm.AnnealAccepted > sm.AnnealProposed {
-			t.Errorf("run %s: accepted %d > proposed %d", run.Label(), sm.AnnealAccepted, sm.AnnealProposed)
+		if annealed {
+			cell := run.Label()[:strings.LastIndex(run.Label(), "/")]
+			computed[cell] = append(computed[cell], run.Label())
+			if sm.AnnealPasses == 0 || sm.AnnealAccepted == 0 {
+				t.Errorf("run %s: empty anneal counters: %+v", run.Label(), sm)
+			}
+			if sm.AnnealAccepted > sm.AnnealProposed {
+				t.Errorf("run %s: accepted %d > proposed %d", run.Label(), sm.AnnealAccepted, sm.AnnealProposed)
+			}
 		}
 		if sm.RouteIterations == 0 || len(sm.RouteOverflows) != sm.RouteIterations {
 			t.Errorf("run %s: inconsistent route trajectory: %+v", run.Label(), sm)
 		}
 		if sm.RouteBestIteration < 1 || sm.RouteBestIteration > sm.RouteIterations {
 			t.Errorf("run %s: best iteration %d outside [1,%d]", run.Label(), sm.RouteBestIteration, sm.RouteIterations)
+		}
+	}
+	for _, d := range suite.All() {
+		for _, arch := range []string{"granular-plb", "lut-plb"} {
+			cell := d.Name + "/" + arch
+			if got := computed[cell]; len(got) != 1 || !strings.HasSuffix(got[0], "flow a") {
+				t.Errorf("%s: runs that annealed %v, want exactly its flow a", cell, got)
+			}
+			rep := m.Reports[d.Name][arch]["flow b"]
+			hit := map[string]bool{}
+			for _, u := range rep.StageCache {
+				hit[u.Stage] = u.Hit
+			}
+			for _, s := range []string{StageMap, StageCompact, StagePlace} {
+				if !hit[s] {
+					t.Errorf("%s/flow b: stage %s not restored (provenance %+v)", cell, s, rep.StageCache)
+				}
+			}
 		}
 	}
 

@@ -741,23 +741,25 @@ func (s *Server) submit(j *job) (status int, err error) {
 	if s.draining {
 		return http.StatusServiceUnavailable, errors.New("server is draining")
 	}
-	select {
-	case s.queue <- j:
-		s.jobs[j.id] = j
-		if j.key != "" {
-			s.inflight[j.key] = j
-		}
-		if s.journal != nil && j.body != nil {
-			e := journalEntry{ID: j.id, State: "accepted", Kind: j.kind, Key: j.key, Body: j.body}
-			s.retryIO(func() error { return s.journal.append(e, true) })
-		}
-		s.log.Info("job accepted", "job_id", j.id, "kind", j.kind, "label", j.label, "trace_id", j.traceID)
-		return 0, nil
-	default:
+	// Every send to the queue happens under s.mu, so a slot free here is
+	// still free after the journal append. Journaling before the send
+	// keeps "accepted" ahead of the worker's "running" entry.
+	if len(s.queue) == cap(s.queue) {
 		s.rejected.Add(1)
 		return http.StatusTooManyRequests,
 			fmt.Errorf("queue full (%d pending); retry later", cap(s.queue))
 	}
+	s.jobs[j.id] = j
+	if j.key != "" {
+		s.inflight[j.key] = j
+	}
+	if s.journal != nil && j.body != nil {
+		e := journalEntry{ID: j.id, State: "accepted", Kind: j.kind, Key: j.key, Body: j.body}
+		s.retryIO(func() error { return s.journal.append(e, true) })
+	}
+	s.queue <- j
+	s.log.Info("job accepted", "job_id", j.id, "kind", j.kind, "label", j.label, "trace_id", j.traceID)
+	return 0, nil
 }
 
 // decodeJSON strictly decodes a bounded request body.

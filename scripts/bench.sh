@@ -4,13 +4,22 @@
 # trajectory point for the BENCH_*.json perf history, then print a
 # delta table against the most recent committed trajectory point.
 #
-# Usage: scripts/bench.sh [out.json]        (default: BENCH_6.json)
+# Usage: scripts/bench.sh out.json
 #   BENCH_PATTERN  override the -bench regexp
 #   BENCH_TIME     override -benchtime (default 1s)
+#
+# The output path is required, so a run never overwrites a committed
+# BENCH_*.json point by accident. The end-to-end benchmark of the flow,
+# the service and the coordinator is perf/ (bash perf/run.sh, see
+# perf/README.md); this script covers the Go micro-benchmarks only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_6.json}"
+if [[ $# -ne 1 ]]; then
+  echo "usage: scripts/bench.sh out.json" >&2
+  exit 2
+fi
+out="$1"
 pattern="${BENCH_PATTERN:-AnnealMoves|GlobalRouting|MatrixParallel|Table1DieArea}"
 benchtime="${BENCH_TIME:-1s}"
 
