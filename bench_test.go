@@ -19,6 +19,7 @@ import (
 	"vpga/internal/core"
 	"vpga/internal/flowmap"
 	"vpga/internal/logic"
+	"vpga/internal/pack"
 	"vpga/internal/place"
 	"vpga/internal/route"
 	"vpga/internal/rtl"
@@ -305,7 +306,52 @@ func BenchmarkSTA(b *testing.B) {
 	}
 }
 
+// BenchmarkPack measures the packer: recursive quadrisection of a
+// compacted, annealed test-scale ALU into the PLB array of each paper
+// architecture. Every iteration restores the annealed positions that
+// packing overwrites.
+func BenchmarkPack(b *testing.B) {
+	for _, arch := range []*cells.PLBArch{cells.GranularPLB(), cells.LUTPLB()} {
+		b.Run(arch.Name, func(b *testing.B) {
+			nl, err := rtl.Compile(bench.TestSuite().ALU.RTL)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := aig.FromNetlist(nl)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d.Optimize(2)
+			mapped, err := techmap.Map(d, arch, techmap.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cres, err := compact.Run(mapped.Netlist, arch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prob, err := place.Build(cres.Netlist, place.ArchArea(arch), place.Options{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			prob.Anneal(place.Options{Seed: 1, MovesPerObj: 4})
+			annealed := prob.Positions()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := prob.SetPositions(annealed); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := pack.Run(cres.Netlist, arch, prob, pack.Options{Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkMaxFlowKCut(b *testing.B) {
+	b.ReportAllocs()
 	// Dinic-based 3-feasible cut search over a mid-size cone.
 	const n = 400
 	fanins := func(i int) []int {

@@ -1,6 +1,8 @@
 package cells
 
 import (
+	"strings"
+	"sync"
 	"testing"
 
 	"vpga/internal/logic"
@@ -283,14 +285,53 @@ func TestSlotSummary(t *testing.T) {
 }
 
 func TestHasRoleCapacity(t *testing.T) {
-	lutArch := LUTPLB()
-	if lutArch.hasRoleCapacity(RoleDFF) != true {
-		t.Error("LUT arch must have a DFF slot")
+	var ffs Demand
+	ffs[RoleDFF.Index()] = 3
+	if n, err := LUTPLB().MinPLBs(&ffs); err != nil || n != 3 {
+		t.Errorf("LUT arch: MinPLBs(3 FF) = %d, %v; want 3 (one DFF slot)", n, err)
 	}
 	noFF := CustomPLB("noff", 1, 1, 1, 0, 0)
-	if noFF.hasRoleCapacity(RoleDFF) {
-		t.Error("custom PLB without FF reports DFF capacity")
+	_, err := noFF.MinPLBs(&ffs)
+	if err == nil || !strings.Contains(err.Error(), `"noff"`) || !strings.Contains(err.Error(), `"dff"`) {
+		t.Errorf("custom PLB without FF: MinPLBs error = %v, want one naming the arch and role dff", err)
 	}
+	if noFF.Fits(&ffs, 1<<20) {
+		t.Error("custom PLB without FF fits flip-flops")
+	}
+}
+
+func TestMinPLBsIsSmallestFit(t *testing.T) {
+	arch := GranularPLB()
+	var d Demand
+	if n, err := arch.MinPLBs(&d); err != nil || n != 1 {
+		t.Errorf("empty demand: MinPLBs = %d, %v; want 1", n, err)
+	}
+	// 7 mux-role instances: 3 mux-capable slots per PLB → 3 PLBs.
+	d[RoleMux.Index()] = 7
+	d[RoleNand.Index()] = 2
+	n, err := arch.MinPLBs(&d)
+	if err != nil || n != 3 {
+		t.Fatalf("MinPLBs = %d, %v; want 3", n, err)
+	}
+	if arch.Fits(&d, n-1) || !arch.Fits(&d, n) {
+		t.Errorf("Fits disagrees with MinPLBs = %d", n)
+	}
+}
+
+func TestRoleIndexCoversEveryRole(t *testing.T) {
+	seen := map[int]bool{}
+	for _, r := range roleOrder {
+		seen[r.Index()] = true
+	}
+	if len(seen) != NumRoles {
+		t.Errorf("roles map to %d indices, want %d", len(seen), NumRoles)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Index of an unknown role must panic")
+		}
+	}()
+	Role("bogus").Index()
 }
 
 func TestNormalize3ShrinksWideFunctions(t *testing.T) {
@@ -298,5 +339,30 @@ func TestNormalize3ShrinksWideFunctions(t *testing.T) {
 	fn := logic.VarTT(4, 0).And(logic.VarTT(4, 3))
 	if !ComponentLibrary().Cell("ND3WI").Implements(fn) {
 		t.Error("ND3WI should implement a 2-input AND expressed over 4 inputs")
+	}
+}
+
+// TestCoverTableConcurrentFirstUse: archs are shared across matrix
+// workers, so the lazily built cover table must be safe to build from
+// several goroutines at once (run with -race).
+func TestCoverTableConcurrentFirstUse(t *testing.T) {
+	arch := GranularPLB()
+	var d Demand
+	d[RoleMux.Index()] = 3
+	d[RoleNand.Index()] = 1
+	var wg sync.WaitGroup
+	results := make([]bool, 8)
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = arch.Fits(&d, 1)
+		}(i)
+	}
+	wg.Wait()
+	for i, ok := range results {
+		if !ok {
+			t.Errorf("goroutine %d: 3 mux + 1 nand do not fit one granular PLB", i)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package cells
 
 import (
+	"fmt"
 	"sort"
 
 	"vpga/internal/logic"
@@ -29,6 +30,38 @@ const (
 	// for polarity generation and repeater duty.
 	RoleBuf Role = "buf"
 )
+
+// NumRoles is the number of roles; a Demand has one count per role.
+const NumRoles = 8
+
+// roleOrder fixes each role's position in a Demand and its bit in a
+// role-subset mask.
+var roleOrder = [NumRoles]Role{RoleMux, RoleXoa, RoleNand, RoleNd2, RoleSimple2, RoleLUT, RoleDFF, RoleBuf}
+
+// Index returns r's position in a Demand. It panics on a string that
+// is not one of the Role constants.
+func (r Role) Index() int {
+	for i, x := range roleOrder {
+		if x == r {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("cells: unknown role %q", r))
+}
+
+// Demand counts role instances, indexed by Role.Index.
+type Demand [NumRoles]int
+
+// Add adds k times the roles c consumes (k < 0 removes them); a nil c
+// consumes none.
+func (d *Demand) Add(c *Config, k int) {
+	if c == nil {
+		return
+	}
+	for _, r := range c.Roles {
+		d[r.Index()] += k
+	}
+}
 
 // Config is one of the logic configurations of Section 2.3: a way of
 // wiring one or more PLB components to realize a (≤3-input) function.

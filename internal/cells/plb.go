@@ -2,7 +2,9 @@ package cells
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
 
 	"vpga/internal/logic"
 )
@@ -11,15 +13,6 @@ import (
 type Slot struct {
 	Component string // component cell name
 	Serves    []Role // roles this slot can absorb
-}
-
-func (s Slot) serves(r Role) bool {
-	for _, x := range s.Serves {
-		if x == r {
-			return true
-		}
-	}
-	return false
 }
 
 // PLBArch describes one patternable logic block architecture.
@@ -38,6 +31,12 @@ type PLBArch struct {
 
 	lib       *Library
 	configIdx map[string]*Config
+
+	// cover[S] counts the slots serving at least one role of the role
+	// subset S (a bit mask over Role.Index); built once, on first use,
+	// because archs are shared across goroutines.
+	coverOnce sync.Once
+	cover     [1 << NumRoles]int
 }
 
 // Library returns the shared component library.
@@ -151,14 +150,75 @@ func indexConfigs(cfgs []*Config) map[string]*Config {
 	return m
 }
 
-// hasRoleCapacity reports whether the architecture has any slot serving r.
-func (a *PLBArch) hasRoleCapacity(r Role) bool {
-	for _, s := range a.Slots {
-		if s.serves(r) {
-			return true
+// coverTable returns the arch's cover table, building it on first use.
+func (a *PLBArch) coverTable() *[1 << NumRoles]int {
+	a.coverOnce.Do(func() {
+		for _, s := range a.Slots {
+			var serves uint
+			for _, r := range s.Serves {
+				serves |= 1 << r.Index()
+			}
+			for set := range a.cover {
+				if uint(set)&serves != 0 {
+					a.cover[set]++
+				}
+			}
+		}
+	})
+	return &a.cover
+}
+
+// Fits reports whether n PLBs can host demand d, each role instance on
+// its own slot serving that role. It is Hall's condition: d fits iff
+// every role subset S satisfies d(S) ≤ n·cover[S], where d(S) is the
+// demand of the roles in S. That is the max-flow test of the roles →
+// slots network (the min cut is the worst such S), and with n = 1 it
+// is exact distinct-slot matching. Only subsets of the demanded roles
+// need checking, in increasing mask order so d(S) = d(S minus its
+// lowest role) + that role's count reuses an earlier sum.
+func (a *PLBArch) Fits(d *Demand, n int) bool {
+	cover := a.coverTable()
+	support := d.support()
+	var sum [1 << NumRoles]int
+	for s := support & -support; s != 0; s = (s - support) & support {
+		sum[s] = sum[s&(s-1)] + d[bits.TrailingZeros(s)]
+		if sum[s] > n*cover[s] {
+			return false
 		}
 	}
-	return false
+	return true
+}
+
+// MinPLBs returns the fewest PLBs that can host demand d (at least 1):
+// the largest ⌈d(S)/cover[S]⌉ over role subsets S, by the rule of Fits.
+// It fails when a demanded role has no slot serving it, since then no
+// number of PLBs suffices.
+func (a *PLBArch) MinPLBs(d *Demand) (int, error) {
+	cover := a.coverTable()
+	support := d.support()
+	for i := range d {
+		if support&(1<<i) != 0 && cover[1<<i] == 0 {
+			return 0, fmt.Errorf("PLB arch %q has no slot for role %q", a.Name, roleOrder[i])
+		}
+	}
+	need := 1
+	var sum [1 << NumRoles]int
+	for s := support & -support; s != 0; s = (s - support) & support {
+		sum[s] = sum[s&(s-1)] + d[bits.TrailingZeros(s)]
+		need = max(need, (sum[s]+cover[s]-1)/cover[s])
+	}
+	return need, nil
+}
+
+// support is the mask of roles with positive demand.
+func (d *Demand) support() uint {
+	var m uint
+	for i, k := range d {
+		if k > 0 {
+			m |= 1 << i
+		}
+	}
+	return m
 }
 
 // usableConfigs returns the architecture's configs whose role demands
@@ -210,47 +270,14 @@ func (a *PLBArch) ConfigsFor(fn logic.TT) []*Config {
 }
 
 // CanPack reports whether one PLB can host all the given configuration
-// instances simultaneously: every required role must be matched to a
-// distinct slot that serves it. The search is an exact backtracking
-// matcher; PLBs have at most a handful of slots.
+// instances simultaneously, every required role on a distinct slot
+// that serves it: Fits with n = 1 on the instances' summed demand.
 func (a *PLBArch) CanPack(instances []*Config) bool {
-	var demands []Role
-	for _, inst := range instances {
-		demands = append(demands, inst.Roles...)
+	var d Demand
+	for _, c := range instances {
+		d.Add(c, 1)
 	}
-	if len(demands) > len(a.Slots) {
-		return false
-	}
-	// Order demands by scarcity (fewest serving slots first) to prune.
-	serveCount := func(r Role) int {
-		n := 0
-		for _, s := range a.Slots {
-			if s.serves(r) {
-				n++
-			}
-		}
-		return n
-	}
-	sort.SliceStable(demands, func(i, j int) bool { return serveCount(demands[i]) < serveCount(demands[j]) })
-	used := make([]bool, len(a.Slots))
-	var match func(i int) bool
-	match = func(i int) bool {
-		if i == len(demands) {
-			return true
-		}
-		for si, s := range a.Slots {
-			if used[si] || !s.serves(demands[i]) {
-				continue
-			}
-			used[si] = true
-			if match(i + 1) {
-				return true
-			}
-			used[si] = false
-		}
-		return false
-	}
-	return match(0)
+	return a.Fits(&d, 1)
 }
 
 // SlotSummary renders the slot composition, e.g.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"vpga/internal/bench"
 	"vpga/internal/cells"
@@ -165,5 +166,28 @@ func TestRoutingSweepMonotonicity(t *testing.T) {
 	}
 	if !strings.Contains(FormatRoutingSweep("ALU", pts), "tracks") {
 		t.Error("format broken")
+	}
+}
+
+// TestRunRejectsArchWithoutSlotForRole: a custom arch with no flip-flop
+// slot cannot host a sequential design at any array size. Packing must
+// say so, naming the arch and the role, before it sizes an array,
+// instead of growing the array until the run is cancelled.
+func TestRunRejectsArchWithoutSlotForRole(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Second)
+	defer cancel()
+	req := FlowRequest{Design: "firewire", Arch: ArchSpec{Kind: "custom", Mux: 2, Xoa: 1, Nand: 1, FF: 0},
+		Flow: "b", Seed: 1, PlaceEffort: 1}
+	start := time.Now()
+	_, err := Run(ctx, req, ExecOptions{})
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("Run packed a sequential design on an arch without flip-flop slots")
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"custom"`) || !strings.Contains(msg, `"dff"`) {
+		t.Errorf("error %q does not name the arch and the unservable role", msg)
+	}
+	if elapsed > 10*time.Second {
+		t.Errorf("Run took %v to fail", elapsed)
 	}
 }

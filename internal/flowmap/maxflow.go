@@ -9,13 +9,16 @@ package flowmap
 
 // Dinic is a max-flow solver over an explicit capacity graph.
 type Dinic struct {
-	n     int
-	to    []int
-	cap   []int64
-	next  []int
-	head  []int
+	n    int
+	to   []int
+	cap  []int64
+	next []int
+	head []int
+	// Per-phase scratch, allocated on the first MaxFlow and reset in
+	// place on every phase after it.
 	level []int
 	iter  []int
+	queue []int
 }
 
 // Inf is the effectively-unbounded capacity.
@@ -46,15 +49,16 @@ func (d *Dinic) AddEdge(u, v int, c int64) int {
 }
 
 func (d *Dinic) bfs(s, t int) bool {
-	d.level = make([]int, d.n)
+	if len(d.level) != d.n {
+		d.level = make([]int, d.n)
+	}
 	for i := range d.level {
 		d.level[i] = -1
 	}
-	queue := []int{s}
+	queue := append(d.queue[:0], s)
 	d.level[s] = 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
 		for e := d.head[u]; e != -1; e = d.next[e] {
 			if d.cap[e] > 0 && d.level[d.to[e]] < 0 {
 				d.level[d.to[e]] = d.level[u] + 1
@@ -62,6 +66,7 @@ func (d *Dinic) bfs(s, t int) bool {
 			}
 		}
 	}
+	d.queue = queue
 	return d.level[t] >= 0
 }
 
@@ -92,7 +97,7 @@ func (d *Dinic) dfs(u, t int, f int64) int64 {
 func (d *Dinic) MaxFlow(s, t int, limit int64) int64 {
 	var flow int64
 	for d.bfs(s, t) {
-		d.iter = append([]int(nil), d.head...)
+		d.iter = append(d.iter[:0], d.head...)
 		for {
 			f := d.dfs(s, t, Inf)
 			if f == 0 {

@@ -9,10 +9,8 @@ package pack
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"vpga/internal/cells"
-	"vpga/internal/flowmap"
 	"vpga/internal/netlist"
 	"vpga/internal/place"
 )
@@ -61,12 +59,18 @@ type packer struct {
 	opts Options
 
 	// demand per object: the configuration roles it needs inside a PLB
-	// (nil for pads and absorbed buffers).
-	objCfg []*cells.Config
-	crit   []float64
-	pitch  float64
-	rows   int
-	cols   int
+	// (nil for pads and absorbed inverters).
+	objCfg    []*cells.Config
+	placeable []int32 // every non-pad object
+	total     cells.Demand
+	crit      []float64
+	pitch     float64
+	rows      int
+	cols      int
+
+	// dest is balance's scratch: the receiving quadrant of each object
+	// it moves out of an over-demanded quadrant (-1 when it stays).
+	dest []int
 }
 
 // Run packs the compacted netlist's placement into the smallest PLB
@@ -88,7 +92,13 @@ func Run(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, opts Opt
 		p.crit = make([]float64, len(prob.Objs))
 	}
 
-	n := p.lowerBoundPLBs()
+	// The resource lower bound on the PLB count; it fails, before any
+	// array is sized, when the arch has no slot for a demanded role.
+	p.total = p.roleDemand(p.placeable)
+	n, err := arch.MinPLBs(&p.total)
+	if err != nil {
+		return nil, fmt.Errorf("pack: %w", err)
+	}
 	side := int(math.Ceil(math.Sqrt(float64(n) * opts.Margin)))
 	for attempt := 0; attempt < 12; attempt++ {
 		p.rows, p.cols = side, side
@@ -105,11 +115,14 @@ func Run(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, opts Opt
 // demand.
 func (p *packer) resolveConfigs() error {
 	p.objCfg = make([]*cells.Config, len(p.prob.Objs))
+	p.dest = make([]int, len(p.prob.Objs))
 	for i := range p.prob.Objs {
+		p.dest[i] = -1
 		o := &p.prob.Objs[i]
 		if o.IsPad {
 			continue
 		}
+		p.placeable = append(p.placeable, int32(i))
 		n := p.nl.Node(o.Nodes[0])
 		switch {
 		case n.Kind == netlist.KindDFF:
@@ -130,91 +143,30 @@ func (p *packer) resolveConfigs() error {
 	return nil
 }
 
-// lowerBoundPLBs computes the resource-driven lower bound on the PLB
-// count via aggregate role matching.
-func (p *packer) lowerBoundPLBs() int {
-	demand := p.roleDemand(nil)
-	lo, hi := 1, 1
-	for !p.aggFeasible(demand, hi) {
-		hi *= 2
-		if hi > 1<<22 {
-			break
-		}
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.aggFeasible(demand, mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// roleDemand tallies role demands over the given objects (nil = all).
-func (p *packer) roleDemand(objs []int32) map[cells.Role]int {
-	d := map[cells.Role]int{}
-	add := func(i int32) {
-		if cfg := p.objCfg[i]; cfg != nil {
-			for _, r := range cfg.Roles {
-				d[r]++
-			}
-		}
-	}
-	if objs == nil {
-		for i := range p.prob.Objs {
-			add(int32(i))
-		}
-	} else {
-		for _, i := range objs {
-			add(i)
-		}
+// roleDemand tallies role demands over the given objects.
+func (p *packer) roleDemand(objs []int32) cells.Demand {
+	var d cells.Demand
+	for _, i := range objs {
+		d.Add(p.objCfg[i], 1)
 	}
 	return d
 }
 
-// aggFeasible checks by max-flow whether numPLBs PLBs can satisfy the
-// aggregate role demand (per-PLB integrality is enforced later at the
-// leaves).
-func (p *packer) aggFeasible(demand map[cells.Role]int, numPLBs int) bool {
-	roles := make([]cells.Role, 0, len(demand))
-	total := 0
-	for r, n := range demand {
-		roles = append(roles, r)
-		total += n
+// fits reports whether n PLBs can host demand d: the aggregate check
+// of a quadrant (per-PLB integrality is enforced later at the leaves)
+// and, with n = 1, the exact check of one PLB.
+func (p *packer) fits(d *cells.Demand, n int) bool {
+	ok := p.arch.Fits(d, n)
+	if fitsAudit != nil {
+		fitsAudit(p.arch, *d, n, ok)
 	}
-	sort.Slice(roles, func(i, j int) bool { return roles[i] < roles[j] })
-	slotTypes := map[string][]cells.Role{}
-	slotCount := map[string]int{}
-	for _, s := range p.arch.Slots {
-		key := s.Component
-		slotTypes[key] = s.Serves
-		slotCount[key]++
-	}
-	types := make([]string, 0, len(slotTypes))
-	for k := range slotTypes {
-		types = append(types, k)
-	}
-	sort.Strings(types)
-	// Nodes: 0 source, 1 sink, 2..1+len(roles) roles, then slot types.
-	g := flowmap.NewDinic(2 + len(roles) + len(types))
-	for i, r := range roles {
-		g.AddEdge(0, 2+i, int64(demand[r]))
-		for j, tname := range types {
-			for _, serves := range slotTypes[tname] {
-				if serves == r {
-					g.AddEdge(2+i, 2+len(roles)+j, flowmap.Inf)
-					break
-				}
-			}
-		}
-	}
-	for j, tname := range types {
-		g.AddEdge(2+len(roles)+j, 1, int64(slotCount[tname]*numPLBs))
-	}
-	return g.MaxFlow(0, 1, -1) >= int64(total)
+	return ok
 }
+
+// fitsAudit, when set by a test, sees every feasibility answer the
+// packer acts on, to cross-check it against independent oracles.
+// Never set outside tests.
+var fitsAudit func(arch *cells.PLBArch, d cells.Demand, n int, ok bool)
 
 // attempt runs the full quadrisection + overflow-resolution loop for
 // the current array size.
@@ -237,9 +189,7 @@ func (p *packer) attempt() (*Result, error) {
 		for i := range assign {
 			assign[i] = -1
 		}
-		if err := p.quadrisect(pos, assign); err != nil {
-			return nil, err
-		}
+		p.quadrisect(pos, assign)
 		if err := p.resolveLeaves(pos, assign); err != nil {
 			return nil, err
 		}

@@ -148,21 +148,37 @@ func TestObjectsSnapToPLBCenters(t *testing.T) {
 	}
 }
 
+// demandOf builds a role demand from role → count pairs.
+func demandOf(counts map[cells.Role]int) cells.Demand {
+	var d cells.Demand
+	for r, k := range counts {
+		d[r.Index()] += k
+	}
+	return d
+}
+
 func TestAggFeasible(t *testing.T) {
 	arch := cells.GranularPLB()
 	p := &packer{arch: arch}
-	// One PLB serves 3 mux + 1 nand.
-	if !p.aggFeasible(map[cells.Role]int{cells.RoleMux: 3, cells.RoleNand: 1}, 1) {
-		t.Error("3 mux + 1 nand must fit one granular PLB")
+	cases := []struct {
+		name   string
+		demand map[cells.Role]int
+		plbs   int
+		want   bool
+	}{
+		{"3 mux + 1 nand fit one granular PLB", map[cells.Role]int{cells.RoleMux: 3, cells.RoleNand: 1}, 1, true},
+		{"4 mux do not fit one granular PLB", map[cells.Role]int{cells.RoleMux: 4}, 1, false},
+		{"4 mux fit two granular PLBs", map[cells.Role]int{cells.RoleMux: 4}, 2, true},
+		{"granular arch has no LUT slots", map[cells.Role]int{cells.RoleLUT: 1}, 8, false},
 	}
-	if p.aggFeasible(map[cells.Role]int{cells.RoleMux: 4}, 1) {
-		t.Error("4 mux must not fit one granular PLB")
-	}
-	if !p.aggFeasible(map[cells.Role]int{cells.RoleMux: 4}, 2) {
-		t.Error("4 mux must fit two granular PLBs")
-	}
-	if p.aggFeasible(map[cells.Role]int{cells.RoleLUT: 1}, 8) {
-		t.Error("granular arch has no LUT slots")
+	for _, c := range cases {
+		d := demandOf(c.demand)
+		if got := p.fits(&d, c.plbs); got != c.want {
+			t.Errorf("%s: fits = %v, want %v", c.name, got, c.want)
+		}
+		if got := aggFeasibleOracle(arch, d, c.plbs); got != c.want {
+			t.Errorf("%s: max-flow oracle = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

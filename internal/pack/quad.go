@@ -3,6 +3,7 @@ package pack
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"vpga/internal/cells"
@@ -32,40 +33,33 @@ func (r region) center(p *packer) coord {
 // quadrisect recursively partitions objects into PLB regions, moving
 // overflow to sibling quadrants (least-critical, least-displacement
 // first), and assigns single-PLB regions into assign.
-func (p *packer) quadrisect(pos []coord, assign []int) error {
-	var all []int32
-	for i := range p.prob.Objs {
-		if !p.prob.Objs[i].IsPad {
-			all = append(all, int32(i))
-		}
-	}
-	root := region{0, p.rows, 0, p.cols}
-	return p.quadRec(root, all, pos, assign)
+func (p *packer) quadrisect(pos []coord, assign []int) {
+	p.quadRec(region{0, p.rows, 0, p.cols}, p.placeable, pos, assign)
 }
 
-func (p *packer) quadRec(reg region, objs []int32, pos []coord, assign []int) error {
+func (p *packer) quadRec(reg region, objs []int32, pos []coord, assign []int) {
 	if len(objs) == 0 {
-		return nil
+		return
 	}
 	if reg.plbs() == 1 {
 		idx := reg.r0*p.cols + reg.c0
 		for _, o := range objs {
 			assign[o] = idx
 		}
-		return nil
+		return
 	}
 	// Split the longer side first; quadrants may degenerate to halves
 	// for 1-wide regions.
-	rm := (reg.r0 + reg.r1) / 2
-	cm := (reg.c0 + reg.c1) / 2
+	rm := max((reg.r0+reg.r1)/2, reg.r0+1)
+	cm := max((reg.c0+reg.c1)/2, reg.c0+1)
 	var quads []region
 	for _, q := range []region{
-		{reg.r0, maxInt(rm, reg.r0+1), reg.c0, maxInt(cm, reg.c0+1)},
-		{reg.r0, maxInt(rm, reg.r0+1), maxInt(cm, reg.c0+1), reg.c1},
-		{maxInt(rm, reg.r0+1), reg.r1, reg.c0, maxInt(cm, reg.c0+1)},
-		{maxInt(rm, reg.r0+1), reg.r1, maxInt(cm, reg.c0+1), reg.c1},
+		{reg.r0, rm, reg.c0, cm},
+		{reg.r0, rm, cm, reg.c1},
+		{rm, reg.r1, reg.c0, cm},
+		{rm, reg.r1, cm, reg.c1},
 	} {
-		if q.r1 > q.r0 && q.c1 > q.c0 && !containsRegion(quads, q) {
+		if q.r1 > q.r0 && q.c1 > q.c0 && !slices.Contains(quads, q) {
 			quads = append(quads, q)
 		}
 	}
@@ -76,27 +70,8 @@ func (p *packer) quadRec(reg region, objs []int32, pos []coord, assign []int) er
 	}
 	p.balance(quads, buckets, pos)
 	for qi, q := range quads {
-		if err := p.quadRec(q, buckets[qi], pos, assign); err != nil {
-			return err
-		}
+		p.quadRec(q, buckets[qi], pos, assign)
 	}
-	return nil
-}
-
-func containsRegion(rs []region, q region) bool {
-	for _, r := range rs {
-		if r == q {
-			return true
-		}
-	}
-	return false
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (p *packer) nearestQuad(quads []region, pt coord) int {
@@ -117,43 +92,53 @@ func (p *packer) nearestQuad(quads []region, pt coord) int {
 	return best
 }
 
+// evictCand is one eviction candidate with its precomputed sort key.
+type evictCand struct {
+	obj        int32
+	crit, dist float64
+}
+
 // balance moves objects out of over-demanded quadrants into feasible
 // siblings until every quadrant's aggregate demand fits its supply.
 // Move order: least critical first, then smallest displacement.
-// Demand maps are maintained incrementally so large designs avoid
+// Demands are maintained incrementally so large designs avoid
 // rescanning buckets per candidate.
 func (p *packer) balance(quads []region, buckets [][]int32, pos []coord) {
-	demands := make([]map[cells.Role]int, len(quads))
+	demands := make([]cells.Demand, len(quads))
 	for qi := range quads {
 		demands[qi] = p.roleDemand(buckets[qi])
-	}
-	addRoles := func(d map[cells.Role]int, cfg *cells.Config, sign int) {
-		for _, r := range cfg.Roles {
-			d[r] += sign
+		if len(buckets[qi]) == 0 {
+			// An empty quadrant is charged the whole design's demand, so
+			// it receives objects only if it could host the whole design.
+			// Kept because the PLB arrays, and so every golden result,
+			// depend on it.
+			demands[qi] = p.total
 		}
 	}
 	for qi := range quads {
-		if p.aggFeasible(demands[qi], quads[qi].plbs()) {
+		if p.fits(&demands[qi], quads[qi].plbs()) {
 			continue
 		}
-		// Candidates to evict, cheapest first.
-		cands := append([]int32(nil), buckets[qi]...)
+		// Candidates to evict, cheapest first: least critical, then
+		// nearest a sibling boundary (minimal perturbation when moved).
+		cands := make([]evictCand, len(buckets[qi]))
+		for i, o := range buckets[qi] {
+			cands[i] = evictCand{o, p.crit[o], p.boundaryDist(quads[qi], pos[o])}
+		}
 		sort.SliceStable(cands, func(a, b int) bool {
-			ca, cb := p.crit[cands[a]], p.crit[cands[b]]
-			if ca != cb {
-				return ca < cb
+			if cands[a].crit != cands[b].crit {
+				return cands[a].crit < cands[b].crit
 			}
-			// Prefer objects nearest a sibling boundary (minimal
-			// perturbation when moved).
-			return p.boundaryDist(quads[qi], pos[cands[a]]) < p.boundaryDist(quads[qi], pos[cands[b]])
+			return cands[a].dist < cands[b].dist
 		})
-		moved := map[int32]int{} // object -> receiving quadrant
-		for _, o := range cands {
+		moved := false
+		for _, c := range cands {
+			o := c.obj
 			cfg := p.objCfg[o]
 			if cfg == nil {
 				continue // absorbed inverters never constrain resources
 			}
-			if p.aggFeasible(demands[qi], quads[qi].plbs()) {
+			if p.fits(&demands[qi], quads[qi].plbs()) {
 				break
 			}
 			// Receiving sibling: nearest center with spare capacity for
@@ -163,34 +148,35 @@ func (p *packer) balance(quads []region, buckets [][]int32, pos []coord) {
 				if qj == qi {
 					continue
 				}
-				addRoles(demands[qj], cfg, 1)
-				ok := p.aggFeasible(demands[qj], quads[qj].plbs())
-				addRoles(demands[qj], cfg, -1)
-				if !ok {
+				d := demands[qj]
+				d.Add(cfg, 1)
+				if !p.fits(&d, quads[qj].plbs()) {
 					continue
 				}
 				c := quads[qj].center(p)
-				d := math.Hypot(c.x-pos[o].x, c.y-pos[o].y)
-				if d < bestD {
-					bestQ, bestD = qj, d
+				dist := math.Hypot(c.x-pos[o].x, c.y-pos[o].y)
+				if dist < bestD {
+					bestQ, bestD = qj, dist
 				}
 			}
 			if bestQ < 0 {
 				continue // overfull everywhere; the leaf pass will retry globally
 			}
-			addRoles(demands[qi], cfg, -1)
-			addRoles(demands[bestQ], cfg, 1)
-			moved[o] = bestQ
+			demands[qi].Add(cfg, -1)
+			demands[bestQ].Add(cfg, 1)
+			p.dest[o] = bestQ
+			moved = true
 			// Nudge the position toward the receiving region so deeper
 			// levels keep it there.
 			c := quads[bestQ].center(p)
 			pos[o] = coord{(pos[o].x + 2*c.x) / 3, (pos[o].y + 2*c.y) / 3}
 		}
-		if len(moved) > 0 {
+		if moved {
 			var keep []int32
 			for _, o := range buckets[qi] {
-				if qj, gone := moved[o]; gone {
+				if qj := p.dest[o]; qj >= 0 {
 					buckets[qj] = append(buckets[qj], o)
+					p.dest[o] = -1
 				} else {
 					keep = append(keep, o)
 				}
@@ -218,63 +204,47 @@ func removeObj(xs []int32, o int32) []int32 {
 }
 
 // resolveLeaves enforces per-PLB packing feasibility: every PLB's
-// assigned configuration set must pass the exact slot matcher; extras
-// spiral outward to the nearest PLB with room.
+// assigned configuration set must fit one PLB; extras spiral outward to
+// the nearest PLB with room. Each PLB's role demand is kept
+// incrementally as objects leave and arrive.
 func (p *packer) resolveLeaves(pos []coord, assign []int) error {
 	n := p.rows * p.cols
-	occupants := make([][]int32, n)
-	for i := range p.prob.Objs {
-		if p.prob.Objs[i].IsPad || assign[i] < 0 {
-			continue
+	occupants := make([][]int32, n) // objects that consume slots
+	demand := make([]cells.Demand, n)
+	for _, o := range p.placeable {
+		if c := p.objCfg[o]; c != nil && assign[o] >= 0 {
+			occupants[assign[o]] = append(occupants[assign[o]], o)
+			demand[assign[o]].Add(c, 1)
 		}
-		occupants[assign[i]] = append(occupants[assign[i]], int32(i))
-	}
-	canHost := func(plb int, extra int32) bool {
-		var cfgs []*cells.Config
-		for _, o := range occupants[plb] {
-			if c := p.objCfg[o]; c != nil {
-				cfgs = append(cfgs, c)
-			}
-		}
-		if c := p.objCfg[extra]; c != nil {
-			cfgs = append(cfgs, c)
-		}
-		return p.arch.CanPack(cfgs)
 	}
 	for plb := 0; plb < n; plb++ {
-		var cfgs []*cells.Config
-		var resObjs []int32
-		for _, o := range occupants[plb] {
-			if c := p.objCfg[o]; c != nil {
-				cfgs = append(cfgs, c)
-				resObjs = append(resObjs, o)
-			}
-		}
-		if p.arch.CanPack(cfgs) {
+		if p.fits(&demand[plb], 1) {
 			continue
 		}
 		// Evict least-critical occupants until the remainder fits.
+		resObjs := slices.Clone(occupants[plb])
 		sort.SliceStable(resObjs, func(a, b int) bool { return p.crit[resObjs[a]] < p.crit[resObjs[b]] })
 		var evicted []int32
 		for _, o := range resObjs {
 			occupants[plb] = removeObj(occupants[plb], o)
+			demand[plb].Add(p.objCfg[o], -1)
 			evicted = append(evicted, o)
-			var rest []*cells.Config
-			for _, q := range occupants[plb] {
-				if c := p.objCfg[q]; c != nil {
-					rest = append(rest, c)
-				}
-			}
-			if p.arch.CanPack(rest) {
+			if p.fits(&demand[plb], 1) {
 				break
 			}
 		}
 		for _, o := range evicted {
-			target := p.spiralFind(plb, func(cand int) bool { return canHost(cand, o) })
+			cfg := p.objCfg[o]
+			target := p.spiralFind(plb, func(cand int) bool {
+				d := demand[cand]
+				d.Add(cfg, 1)
+				return p.fits(&d, 1)
+			})
 			if target < 0 {
 				return fmt.Errorf("pack: PLB array %d×%d cannot host object %d", p.rows, p.cols, o)
 			}
 			occupants[target] = append(occupants[target], o)
+			demand[target].Add(cfg, 1)
 			assign[o] = target
 		}
 	}
@@ -285,7 +255,7 @@ func (p *packer) resolveLeaves(pos []coord, assign []int) error {
 // and returns the first one satisfying ok, or -1.
 func (p *packer) spiralFind(start int, ok func(int) bool) int {
 	sr, sc := start/p.cols, start%p.cols
-	maxR := maxInt(p.rows, p.cols)
+	maxR := max(p.rows, p.cols)
 	for d := 1; d <= maxR; d++ {
 		for r := sr - d; r <= sr+d; r++ {
 			if r < 0 || r >= p.rows {
@@ -295,7 +265,7 @@ func (p *packer) spiralFind(start int, ok func(int) bool) int {
 				if c < 0 || c >= p.cols {
 					continue
 				}
-				if maxInt(absInt(r-sr), absInt(c-sc)) != d {
+				if max(absInt(r-sr), absInt(c-sc)) != d {
 					continue
 				}
 				idx := r*p.cols + c

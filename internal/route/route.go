@@ -799,6 +799,40 @@ func (r *router) edgeEnds(e edgeRef) (point, point) {
 	return point{int16(x), int16(y)}, point{int16(x), int16(y + 1)}
 }
 
+// Directions of a routing-tree edge leaving a cell, as mask bits.
+const (
+	dirRight uint8 = iota
+	dirLeft
+	dirDown
+	dirUp
+)
+
+// step returns the neighbor of p in direction dir.
+func (p point) step(dir uint8) point {
+	switch dir {
+	case dirRight:
+		p.x++
+	case dirLeft:
+		p.x--
+	case dirDown:
+		p.y++
+	default:
+		p.y--
+	}
+	return p
+}
+
+// markDir records a tree edge leaving p in direction dir; the first
+// mark of a cell under the current tree epoch resets its mask.
+func (r *router) markDir(p point, dir uint8) {
+	st := r.st
+	c := r.cellOf(p)
+	if st.inTree[c] != st.treeEpoch {
+		st.inTree[c], st.treeDirs[c] = st.treeEpoch, 0
+	}
+	st.treeDirs[c] |= 1 << dir
+}
+
 // finish extracts lengths, per-sink distances and congestion stats.
 // The usage and per-net edge arrays transfer from the (possibly
 // pooled) State into the Result here — detailed routing reads them
@@ -817,36 +851,57 @@ func (r *router) finish(iters int) (*Result, error) {
 	}
 	r.st.hUse, r.st.vUse = nil, nil
 	edgeLen := (r.binW + r.binH) / 2
-	adj := map[point][]point{}
+	st := r.st
 	for ni := range r.prob.Nets {
 		res.NetLength[ni] = float64(len(r.netEdges[ni])) * edgeLen
 		res.Total += res.NetLength[ni]
-		// Per-sink tree distance by BFS over the tree adjacency,
-		// derived from the net's edge list (each edge appears at most
-		// once per net, so the adjacency needs no deduplication).
+		// Per-sink tree distance by BFS over the net's edges. The tree's
+		// adjacency is a per-cell mask of edge directions stamped with a
+		// fresh tree epoch, and distances live in the A* score array
+		// stamped with a fresh search epoch (the searches are over), so
+		// no per-net maps are built. Every cell at BFS depth k gets the
+		// same k-fold sum of edgeLen, whatever the visiting order.
 		net := &r.prob.Nets[ni]
 		src := r.binOf(net.Objs[0])
-		clear(adj)
+		st.treeEpoch++
+		st.epoch++
 		for _, e := range r.netEdges[ni] {
 			a, b := r.edgeEnds(e)
-			adj[a] = append(adj[a], b)
-			adj[b] = append(adj[b], a)
+			if e.horizontal {
+				r.markDir(a, dirRight)
+				r.markDir(b, dirLeft)
+			} else {
+				r.markDir(a, dirDown)
+				r.markDir(b, dirUp)
+			}
 		}
-		dist := map[point]float64{src: 0}
-		queue := []point{src}
-		for len(queue) > 0 {
-			p := queue[0]
-			queue = queue[1:]
-			for _, q := range adj[p] {
-				if _, seen := dist[q]; !seen {
-					dist[q] = dist[p] + edgeLen
+		sc := r.cellOf(src)
+		st.gScore[sc], st.gStamp[sc] = 0, st.epoch
+		queue := append(st.treeList[:0], src)
+		for qi := 0; qi < len(queue); qi++ {
+			p := queue[qi]
+			c := r.cellOf(p)
+			if st.inTree[c] != st.treeEpoch {
+				continue // a source with no edges
+			}
+			for dir := uint8(0); dir < 4; dir++ {
+				if st.treeDirs[c]&(1<<dir) == 0 {
+					continue
+				}
+				q := p.step(dir)
+				qc := r.cellOf(q)
+				if st.gStamp[qc] != st.epoch {
+					st.gScore[qc], st.gStamp[qc] = st.gScore[c]+edgeLen, st.epoch
 					queue = append(queue, q)
 				}
 			}
 		}
+		st.treeList = queue[:0]
 		res.SinkDist[ni] = make([]float64, len(net.Objs)-1)
 		for k, oi := range net.Objs[1:] {
-			res.SinkDist[ni][k] = dist[r.binOf(oi)]
+			if c := r.cellOf(r.binOf(oi)); st.gStamp[c] == st.epoch {
+				res.SinkDist[ni][k] = st.gScore[c]
+			}
 		}
 	}
 	res.Overflow = r.totalOver

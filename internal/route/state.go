@@ -36,7 +36,10 @@ type State struct {
 	scratch pq
 
 	// Routing-tree membership (epoch-stamped) and reusable buffers.
+	// treeDirs holds, for cells stamped in inTree, the directions of the
+	// tree edges leaving them (finish's sink-distance BFS).
 	inTree    []int32
+	treeDirs  []uint8
 	treeEpoch int32
 	treeList  []point
 	sinks     []point
@@ -67,6 +70,7 @@ func (st *State) prepare(nx, ny, nets int) {
 		st.gStamp = make([]int32, cells)
 		st.cStamp = make([]int32, cells)
 		st.inTree = make([]int32, cells)
+		st.treeDirs = make([]uint8, cells)
 		st.epoch, st.treeEpoch = 0, 0
 	} else {
 		if st.hUse == nil {
