@@ -116,7 +116,7 @@ func BenchmarkCompactionAreaReduction(b *testing.B) {
 		total, n = 0, 0
 		for _, d := range suite.All() {
 			for _, arch := range []*cells.PLBArch{cells.GranularPLB(), cells.LUTPLB()} {
-				rep, err := core.RunFlow(context.Background(), d, core.Config{Arch: arch, Flow: core.FlowA, Seed: 1, PlaceEffort: 2})
+				rep, _, err := core.RunFlow(context.Background(), d, core.Config{Arch: arch, Flow: core.FlowA, Seed: 1, PlaceEffort: 2})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -134,7 +134,7 @@ func BenchmarkFullAdderPacking(b *testing.B) {
 	d := bench.ALU(8)
 	fas := 0
 	for i := 0; i < b.N; i++ {
-		rep, err := core.RunFlow(context.Background(), d, core.Config{Arch: cells.GranularPLB(), Flow: core.FlowB, Seed: 2, PlaceEffort: 2})
+		rep, _, err := core.RunFlow(context.Background(), d, core.Config{Arch: cells.GranularPLB(), Flow: core.FlowB, Seed: 2, PlaceEffort: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func BenchmarkGranularitySweep(b *testing.B) {
 	var pts []core.SweepPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = core.GranularitySweep(context.Background(), d, core.DefaultSweepArchs(), 3)
+		pts, err = core.RunGranularitySweep(context.Background(), d, core.DefaultSweepArchs(), core.SweepOptions{Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func BenchmarkRoutingArchitectureSweep(b *testing.B) {
 	var pts []core.RoutingPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = core.RoutingSweep(context.Background(), bench.ALU(8), cells.GranularPLB(), []int{4, 8, 16, 32}, 3)
+		pts, err = core.RunRoutingSweep(context.Background(), bench.ALU(8), cells.GranularPLB(), []int{4, 8, 16, 32}, core.SweepOptions{Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -442,7 +442,7 @@ func BenchmarkStageCachePrefixDepth(b *testing.B) {
 		cfg.RouteCapacityScale = 1.25
 		cfg.Stages = stages
 		start := time.Now()
-		rep, err := core.RunFlow(ctx, d, cfg)
+		rep, _, err := core.RunFlow(ctx, d, cfg)
 		depth4 += time.Since(start)
 		if err != nil {
 			b.Fatal(err)

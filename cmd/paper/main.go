@@ -207,7 +207,7 @@ func main() {
 			for _, arch := range []*cells.PLBArch{cells.GranularPLB(), cells.LUTPLB()} {
 				cfg := core.Config{Arch: arch, Flow: core.FlowA, Seed: *seed, PlaceEffort: *effort,
 					PlaceWorkers: *placeWorkers, Trace: tracer.NewRun(d.Name + "/" + arch.Name + "/compaction")}
-				rep, err := core.RunFlow(ctx, d, cfg)
+				rep, _, err := core.RunFlow(ctx, d, cfg)
 				cfg.Trace.Close()
 				if err != nil {
 					fatalf("%v", err)

@@ -19,13 +19,16 @@
 // current tree against it, exiting 1 on drift (VPGA_UPDATE_BASELINE=1
 // refreshes the baseline instead).
 //
-// -request runs a core.FlowRequest from a JSON file ('-' for stdin) —
-// the same document POST /v1/runs accepts, so a request can be
-// developed locally and then submitted to vpgad unchanged.
-// -print-request skips the run and prints the canonical (normalized)
-// encoding of the request plus its content-address cache key and
-// per-stage key chain; combined with the ordinary flags it converts a
-// flag invocation into a service request.
+// Every invocation runs one core.FlowRequest through core.Run, exactly
+// as vpgad would: the flags describe the request, or -request reads it
+// from a JSON file ('-' for stdin) — the same document POST /v1/runs
+// accepts, so a request can be developed locally and then submitted to
+// vpgad unchanged. -print-request skips the run and prints the
+// canonical (normalized) encoding of the request plus its
+// content-address cache key and per-stage key chain, converting a flag
+// invocation into a service request. -floorplan and -netlist keep the
+// run's physical artifacts, which a defect-injected run (repaired by
+// the supervisor's ladder) does not produce.
 //
 // -stage-cache DIR opens (or creates) a stage-granular build cache at
 // DIR: every stage boundary — mapped netlist, compacted netlist,
@@ -48,10 +51,7 @@ import (
 	"os/signal"
 
 	"vpga/internal/artifact"
-	"vpga/internal/bench"
-	"vpga/internal/cells"
 	"vpga/internal/core"
-	"vpga/internal/defect"
 	"vpga/internal/obs"
 )
 
@@ -101,142 +101,59 @@ func main() {
 		stages = core.NewStageCache(store)
 	}
 
-	if *requestFile != "" || *printRequest {
-		var req core.FlowRequest
-		if *requestFile != "" {
-			req = readRequest(*requestFile)
-		} else {
-			// Convert the flag invocation into a service request.
-			req = core.FlowRequest{
-				Design: *design, Scale: *scale,
-				Arch: core.ArchSpec{Kind: *archName}, Flow: *flowName,
-				Seed: *seed, ClockPeriod: *clock, PlaceEffort: *effort,
-				SkipCompaction: *skipCompact, Verify: *verify,
-				DefectRate: *defectRate,
-			}
-			if *rtlFile != "" {
-				src, err := os.ReadFile(*rtlFile)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				req.Design = ""
-				req.RTL, req.Name = string(src), *rtlFile
-			}
-			if *defectRate > 0 {
-				req.DefectSeed = *defectSeed
-			}
+	var req core.FlowRequest
+	if *requestFile != "" {
+		req = readRequest(*requestFile)
+	} else {
+		req = core.FlowRequest{
+			Design: *design, Scale: *scale,
+			Arch: core.ArchSpec{Kind: *archName}, Flow: *flowName,
+			Seed: *seed, ClockPeriod: *clock, PlaceEffort: *effort,
+			SkipCompaction: *skipCompact, Verify: *verify,
+			DefectRate: *defectRate,
 		}
-		if *floorplan != "" || *netlistOut != "" {
-			fatalf("-floorplan/-netlist are unavailable with -request/-print-request")
-		}
-		if *printRequest {
-			key, err := req.CacheKey()
+		if *rtlFile != "" {
+			src, err := os.ReadFile(*rtlFile)
 			if err != nil {
 				fatalf("%v", err)
 			}
-			keys, err := req.StageKeys()
-			if err != nil {
-				fatalf("%v", err)
-			}
-			enc, err := json.MarshalIndent(req.Normalize(), "", "  ")
-			if err != nil {
-				fatalf("%v", err)
-			}
-			// Canonical JSON on stdout; derived keys on stderr, so the
-			// stdout document stays a valid request body.
-			fmt.Printf("%s\n", enc)
-			fmt.Fprintf(os.Stderr, "cache key: %s\n", key)
-			for _, sk := range keys {
-				fmt.Fprintf(os.Stderr, "stage %-8s %s\n", sk.Stage, sk.Key)
-			}
-			return
+			req.Design = ""
+			req.RTL, req.Name = string(src), *rtlFile
 		}
-		runRequest(ctx, req, *traceFile, stages)
-		return
+		if *defectRate > 0 {
+			req.DefectSeed = *defectSeed
+		}
 	}
-
-	var arch *cells.PLBArch
-	switch *archName {
-	case "granular":
-		arch = cells.GranularPLB()
-	case "lut":
-		arch = cells.LUTPLB()
-	default:
-		fatalf("unknown arch %q (want granular or lut)", *archName)
-	}
-	var flow core.FlowKind
-	switch *flowName {
-	case "a":
-		flow = core.FlowA
-	case "b":
-		flow = core.FlowB
-	default:
-		fatalf("unknown flow %q (want a or b)", *flowName)
-	}
-
-	var d bench.Design
-	if *rtlFile != "" {
-		src, err := os.ReadFile(*rtlFile)
+	if *printRequest {
+		key, err := req.CacheKey()
 		if err != nil {
 			fatalf("%v", err)
 		}
-		d = bench.Design{Name: *rtlFile, RTL: string(src)}
-	} else {
-		suite := bench.TestSuite()
-		if *scale == "paper" {
-			suite = bench.PaperSuite()
+		keys, err := req.StageKeys()
+		if err != nil {
+			fatalf("%v", err)
 		}
-		switch *design {
-		case "alu":
-			d = suite.ALU
-		case "firewire":
-			d = suite.Firewire
-		case "fpu":
-			d = suite.FPU
-		case "switch":
-			d = suite.Switch
-		default:
-			fatalf("unknown design %q", *design)
+		enc, err := json.MarshalIndent(req.Normalize(), "", "  ")
+		if err != nil {
+			fatalf("%v", err)
 		}
+		// Canonical JSON on stdout; derived keys on stderr, so the
+		// stdout document stays a valid request body.
+		fmt.Printf("%s\n", enc)
+		fmt.Fprintf(os.Stderr, "cache key: %s\n", key)
+		for _, sk := range keys {
+			fmt.Fprintf(os.Stderr, "stage %-8s %s\n", sk.Stage, sk.Key)
+		}
+		return
 	}
 
-	cfg := core.Config{
-		Arch: arch, Flow: flow, ClockPeriod: *clock, Seed: *seed,
-		PlaceEffort: *effort, Verify: *verify, SkipCompaction: *skipCompact,
-		Stages: stages,
+	wantArtifacts := *floorplan != "" || *netlistOut != ""
+	res := runRequest(ctx, req, *traceFile, stages, wantArtifacts)
+	art := res.Artifacts
+	if wantArtifacts && art == nil {
+		fatalf("-floorplan/-netlist are unavailable with a defect map: repaired runs report without artifacts")
 	}
-	var tracer *obs.Tracer
-	if *traceFile != "" {
-		tracer = obs.NewTracer()
-		cfg.Trace = tracer.NewRun(d.Name + "/" + arch.Name + "/" + flow.String())
-	}
-	var rep *core.Report
-	var art *core.Artifacts
-	var err error
-	if *defectRate > 0 {
-		// Defective fabric: run through the repair ladder. The floorplan
-		// and netlist outputs need artifacts, which the repair path does
-		// not expose, so they are unavailable here.
-		cfg.Defects = defect.New(*defectSeed, *defectRate)
-		rep, err = core.RunFlowRepair(ctx, d, cfg)
-		if err == nil && (*floorplan != "" || *netlistOut != "") {
-			fatalf("-floorplan/-netlist are unavailable with -defect-rate")
-		}
-	} else {
-		rep, art, err = core.RunFlowFull(ctx, d, cfg)
-	}
-	cfg.Trace.Close()
-	if tracer != nil {
-		if werr := tracer.WriteChromeTraceFile(*traceFile); werr != nil {
-			fatalf("trace: %v", werr)
-		}
-		fmt.Fprint(os.Stderr, tracer.SummaryTable())
-		fmt.Fprintf(os.Stderr, "trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceFile)
-	}
-	if err != nil {
-		fatalf("%v", err)
-	}
-	printReport(rep)
+	printReport(res.Report)
 	if *netlistOut != "" {
 		f, err := os.Create(*netlistOut)
 		if err != nil {
@@ -257,7 +174,7 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		if err := core.WriteFloorplan(out, rep, art); err != nil {
+		if err := core.WriteFloorplan(out, res.Report, art); err != nil {
 			fatalf("%v", err)
 		}
 	}
@@ -284,27 +201,29 @@ func readRequest(path string) core.FlowRequest {
 	return req
 }
 
-// runRequest executes a FlowRequest exactly as vpgad would.
-func runRequest(ctx context.Context, req core.FlowRequest, traceFile string, stages *core.StageCache) {
+// runRequest executes a FlowRequest exactly as vpgad would, keeping
+// the physical artifacts when asked; -trace writes the run's Chrome
+// trace and prints its per-stage summary on stderr.
+func runRequest(ctx context.Context, req core.FlowRequest, traceFile string, stages *core.StageCache, wantArtifacts bool) *core.RunResult {
 	var tracer *obs.Tracer
 	var run *obs.Run
 	if traceFile != "" {
 		tracer = obs.NewTracer()
-		n := req.Normalize()
-		run = tracer.NewRun(n.Design + n.Name + "/" + n.Arch.Kind + "/flow " + n.Flow)
+		run = tracer.NewRun(req.TicketLabel())
 	}
-	res, err := core.Run(ctx, req, core.ExecOptions{Trace: run, Stages: stages})
+	res, err := core.Run(ctx, req, core.ExecOptions{Trace: run, Stages: stages, WantArtifacts: wantArtifacts})
 	run.Close()
 	if tracer != nil {
 		if werr := tracer.WriteChromeTraceFile(traceFile); werr != nil {
 			fatalf("trace: %v", werr)
 		}
 		fmt.Fprint(os.Stderr, tracer.SummaryTable())
+		fmt.Fprintf(os.Stderr, "trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", traceFile)
 	}
 	if err != nil {
 		fatalf("%v", err)
 	}
-	printReport(res.Report)
+	return res
 }
 
 func printReport(r *core.Report) {

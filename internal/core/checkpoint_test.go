@@ -1,15 +1,18 @@
 package core
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"vpga/internal/artifact"
-	"vpga/internal/obs"
 )
+
+// The placement checkpoint is the stage cache's place artifact: the
+// post-anneal positions a run stores and every later run sharing the
+// place key restores instead of annealing. These tests attach it
+// through ExecOptions.Stages over an artifact store.
 
 func ckptStore(t *testing.T) *artifact.Store {
 	t.Helper()
@@ -20,33 +23,22 @@ func ckptStore(t *testing.T) *artifact.Store {
 	return st
 }
 
-// runWithStore executes req against store under a fresh trace and
+// runWithStore executes req against a stage cache over store and
 // returns the stripped report plus the run's anneal-proposal count
-// (zero iff the placement was restored from a checkpoint).
+// (zero iff the placement was restored from the store).
 func runWithStore(t *testing.T, req FlowRequest, store *artifact.Store) (*Report, int64) {
 	t.Helper()
-	run := obs.NewTracer().NewRun(req.Design + "/" + req.Flow)
-	rep, err := RunRequestExec(context.Background(), req,
-		ExecOptions{Trace: run, Checkpoints: store})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	proposed := run.SolverMetrics().AnnealProposed
-	rep.StripMetrics()
+	rep, _, proposed := runWithStages(t, req, NewStageCache(store))
 	return rep, proposed
 }
 
-// TestPlaceCheckpointResume is the tentpole's resume property: a run
-// that restores the post-refinement placement snapshot skips
-// annealing entirely and still produces a report bit-identical to the
-// cold run's.
+// TestPlaceCheckpointResume: a run that restores the placement
+// checkpoint skips annealing entirely and still produces a report
+// bit-identical to the cold run's.
 func TestPlaceCheckpointResume(t *testing.T) {
 	req := FlowRequest{Design: "alu", Arch: ArchSpec{Kind: "granular"},
 		Flow: "b", Seed: 11, PlaceEffort: 2}
-	cold, err := RunRequest(context.Background(), req, nil)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
+	cold := runReport(t, req)
 	cold.StripMetrics()
 
 	store := ckptStore(t)
@@ -71,9 +63,8 @@ func TestPlaceCheckpointResume(t *testing.T) {
 }
 
 // TestPlaceCheckpointSharing: flows a and b share the pre-pack
-// pipeline, and the route knobs act downstream of placement, so both
-// variants restore the placement a flow-b run checkpointed; a reseeded
-// request must miss.
+// pipeline, so a flow-a variant restores the placement a flow-b run
+// checkpointed; a reseeded request must miss.
 func TestPlaceCheckpointSharing(t *testing.T) {
 	base := FlowRequest{Design: "alu", Arch: ArchSpec{Kind: "granular"},
 		Flow: "b", Seed: 11, PlaceEffort: 2}

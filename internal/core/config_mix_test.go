@@ -14,7 +14,7 @@ import (
 // slot and the Table 1 comparison inverts.
 func TestFPUConfigMixUsesFlexibleRoles(t *testing.T) {
 	for _, arch := range []*cells.PLBArch{cells.GranularPLB(), cells.LUTPLB()} {
-		rep, err := RunFlow(context.Background(), bench.FPU(6), Config{Arch: arch, Flow: FlowB, Seed: 3})
+		rep, _, err := RunFlow(context.Background(), bench.FPU(6), Config{Arch: arch, Flow: FlowB, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

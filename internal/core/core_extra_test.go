@@ -52,7 +52,7 @@ func TestInsertBuffersLeavesSmallNetsAlone(t *testing.T) {
 }
 
 func TestWriteFloorplan(t *testing.T) {
-	rep, art, err := RunFlowFull(context.Background(), bench.ALU(8), Config{Arch: cells.GranularPLB(), Flow: FlowB, Seed: 6})
+	rep, art, err := RunFlow(context.Background(), bench.ALU(8), Config{Arch: cells.GranularPLB(), Flow: FlowB, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestWriteFloorplan(t *testing.T) {
 }
 
 func TestWriteFloorplanRequiresFlowB(t *testing.T) {
-	rep, art, err := RunFlowFull(context.Background(), bench.ALU(8), Config{Arch: cells.GranularPLB(), Flow: FlowA, Seed: 6})
+	rep, art, err := RunFlow(context.Background(), bench.ALU(8), Config{Arch: cells.GranularPLB(), Flow: FlowA, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestWriteFloorplanRequiresFlowB(t *testing.T) {
 }
 
 func TestViaStatsInReport(t *testing.T) {
-	rep, err := RunFlow(context.Background(), bench.ALU(8), Config{Arch: cells.GranularPLB(), Flow: FlowB, Seed: 2})
+	rep, _, err := RunFlow(context.Background(), bench.ALU(8), Config{Arch: cells.GranularPLB(), Flow: FlowB, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestViaStatsInReport(t *testing.T) {
 }
 
 func TestPowerInReport(t *testing.T) {
-	rep, err := RunFlow(context.Background(), bench.ALU(8), Config{Arch: cells.GranularPLB(), Flow: FlowB, Seed: 2})
+	rep, _, err := RunFlow(context.Background(), bench.ALU(8), Config{Arch: cells.GranularPLB(), Flow: FlowB, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDomainExploreSmall(t *testing.T) {
 		t.Skip("slow")
 	}
 	archs := []*cells.PLBArch{cells.GranularPLB(), cells.LUTPLB()}
-	results, err := DomainExplore(context.Background(), []bench.Design{bench.ALU(8)}, archs, 3)
+	results, err := RunDomainExplore(context.Background(), []bench.Design{bench.ALU(8)}, archs, SweepOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRoutingSweepMonotonicity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	pts, err := RoutingSweep(context.Background(), bench.ALU(8), cells.GranularPLB(), []int{4, 16, 64}, 3)
+	pts, err := RunRoutingSweep(context.Background(), bench.ALU(8), cells.GranularPLB(), []int{4, 16, 64}, SweepOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

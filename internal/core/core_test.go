@@ -14,7 +14,7 @@ func TestRunFlowBothFlowsBothArchs(t *testing.T) {
 	for _, arch := range []*cells.PLBArch{cells.GranularPLB(), cells.LUTPLB()} {
 		clock := 0.0
 		for _, flow := range []FlowKind{FlowA, FlowB} {
-			rep, err := RunFlow(context.Background(), d, Config{Arch: arch, Flow: flow, ClockPeriod: clock, Seed: 5, Verify: true})
+			rep, _, err := RunFlow(context.Background(), d, Config{Arch: arch, Flow: flow, ClockPeriod: clock, Seed: 5, Verify: true})
 			if err != nil {
 				t.Fatalf("%s %s: %v", arch.Name, flow, err)
 			}
@@ -38,11 +38,11 @@ func TestFlowBCostsMoreAreaThanFlowA(t *testing.T) {
 	// relative to the free-form ASIC placement (Table 1's flow a vs b).
 	d := bench.FPU(6)
 	arch := cells.GranularPLB()
-	a, err := RunFlow(context.Background(), d, Config{Arch: arch, Flow: FlowA, Seed: 7})
+	a, _, err := RunFlow(context.Background(), d, Config{Arch: arch, Flow: FlowA, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFlow(context.Background(), d, Config{Arch: arch, Flow: FlowB, ClockPeriod: a.ClockPeriod, Seed: 7})
+	b, _, err := RunFlow(context.Background(), d, Config{Arch: arch, Flow: FlowB, ClockPeriod: a.ClockPeriod, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestFlowBCostsMoreAreaThanFlowA(t *testing.T) {
 func TestCompactionAblation(t *testing.T) {
 	d := bench.ALU(8)
 	arch := cells.GranularPLB()
-	with, err := RunFlow(context.Background(), d, Config{Arch: arch, Flow: FlowB, Seed: 9})
+	with, _, err := RunFlow(context.Background(), d, Config{Arch: arch, Flow: FlowB, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := RunFlow(context.Background(), d, Config{Arch: arch, Flow: FlowB, ClockPeriod: with.ClockPeriod, Seed: 9, SkipCompaction: true})
+	without, _, err := RunFlow(context.Background(), d, Config{Arch: arch, Flow: FlowB, ClockPeriod: with.ClockPeriod, Seed: 9, SkipCompaction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestGranularitySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
-	pts, err := GranularitySweep(context.Background(), bench.ALU(8), DefaultSweepArchs(), 11)
+	pts, err := RunGranularitySweep(context.Background(), bench.ALU(8), DefaultSweepArchs(), SweepOptions{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestGranularitySweep(t *testing.T) {
 func TestIdentityConfigs(t *testing.T) {
 	d := bench.ALU(8)
 	arch := cells.LUTPLB()
-	rep, err := RunFlow(context.Background(), d, Config{Arch: arch, Flow: FlowB, Seed: 13, SkipCompaction: true, Verify: true})
+	rep, _, err := RunFlow(context.Background(), d, Config{Arch: arch, Flow: FlowB, Seed: 13, SkipCompaction: true, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

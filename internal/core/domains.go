@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"vpga/internal/bench"
 	"vpga/internal/cells"
-	"vpga/internal/route"
 )
 
 // DomainResult reports, for one application domain (benchmark design),
@@ -23,91 +21,30 @@ type DomainResult struct {
 	BestAreaDelay float64
 }
 
-// DomainExplore is the deprecated positional-seed form of
-// RunDomainExplore.
-//
-// Deprecated: use RunDomainExplore with SweepOptions.
-func DomainExplore(ctx context.Context, domains []bench.Design, archs []*cells.PLBArch, seed int64) ([]DomainResult, error) {
-	return RunDomainExplore(ctx, domains, archs, SweepOptions{Seed: seed})
-}
-
 // RunDomainExplore runs the paper's proposed future work (Sec. 4:
 // "the optimal combination of these logic elements, and the optimal
 // ratio of combinational to sequential logic elements varies with the
 // application domain. Accordingly, we propose to explore these issues
 // in an application-domain specific manner"): each design stands for a
-// domain, swept across a family of PLB architectures; the winner per
-// domain is chosen by area-delay product. Within a domain the first
-// architecture pins the clock period and the remaining runs fan out
-// on opts.Parallel workers; results are deterministic at any width.
+// domain, swept across a family of PLB architectures by ExecuteSweep —
+// the first architecture pins the domain's clock period and the
+// remaining runs fan out on opts.Parallel workers — and the winner per
+// domain is chosen by area-delay product. Results are deterministic at
+// any width.
 func RunDomainExplore(ctx context.Context, domains []bench.Design, archs []*cells.PLBArch, opts SweepOptions) ([]DomainResult, error) {
 	var out []DomainResult
-	pool := route.NewPool()
 	for _, d := range domains {
-		res := DomainResult{Domain: d.Name, Points: make([]SweepPoint, len(archs))}
-		if len(archs) == 0 {
-			out = append(out, res)
-			continue
-		}
-		point := func(arch *cells.PLBArch, clock float64) (SweepPoint, float64, float64, error) {
-			run := opts.Trace.NewRun("domain/" + d.Name + "/" + arch.Name)
-			rep, err := RunFlow(ctx, d, Config{Arch: arch, Flow: FlowB, ClockPeriod: clock,
-				Seed: opts.Seed, PlaceWorkers: opts.PlaceWorkers, Trace: run,
-				Stages: opts.Stages, routePool: pool})
-			run.Close()
-			if err != nil {
-				return SweepPoint{}, 0, 0, fmt.Errorf("domain %s on %s: %w", d.Name, arch.Name, err)
-			}
-			return SweepPoint{
-				Arch: arch.Name, Slots: arch.SlotSummary(), PLBArea: arch.Area,
-				DieArea: rep.DieArea, AvgTopSlack: rep.AvgTopSlack,
-				UsedPLBs: rep.Rows * rep.Cols,
-			}, rep.ClockPeriod, rep.DieArea * rep.MaxArrival, nil
-		}
-
-		// The first architecture pins the domain's clock.
-		pt, clock, ad0, err := point(archs[0], 0)
+		reps, err := ExecuteSweep(archs, opts.runner(ctx, d, archs, "domain"))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("domain %s: %w", d.Name, err)
 		}
-		res.Points[0] = pt
-		areaDelay := make([]float64, len(archs))
-		areaDelay[0] = ad0
-
-		var (
-			sem      = make(chan struct{}, opts.workers())
-			mu       sync.Mutex
-			firstErr error
-			wg       sync.WaitGroup
-		)
-		for i := 1; i < len(archs); i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				pt, _, ad, err := point(archs[i], clock)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				res.Points[i] = pt
-				areaDelay[i] = ad
-			}(i)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
+		res := DomainResult{Domain: d.Name, Points: make([]SweepPoint, len(archs))}
 		// Winner selection stays in arch order, so ties resolve
 		// identically at any parallelism.
-		for i, arch := range archs {
-			if res.Best == "" || areaDelay[i] < res.BestAreaDelay {
-				res.Best, res.BestAreaDelay = arch.Name, areaDelay[i]
+		for i, rep := range reps {
+			res.Points[i] = SweepPointFrom(archs[i], rep)
+			if ad := rep.DieArea * rep.MaxArrival; res.Best == "" || ad < res.BestAreaDelay {
+				res.Best, res.BestAreaDelay = archs[i].Name, ad
 			}
 		}
 		out = append(out, res)

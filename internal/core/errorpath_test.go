@@ -24,7 +24,7 @@ func TestAsFlowErrorUnwraps(t *testing.T) {
 		Stage: "route", Err: errors.New("overflow 12")}
 	wrapped := fmt.Errorf("sweep point 3: %w", inner)
 
-	fe := asFlowError(bench.ALU(4), arch, FlowB, wrapped)
+	fe := asFlowError("ALU", arch.Name, "flow b", wrapped)
 	if fe != inner {
 		t.Fatalf("wrapped *FlowError not recovered: got %+v", fe)
 	}
@@ -33,7 +33,7 @@ func TestAsFlowErrorUnwraps(t *testing.T) {
 	}
 
 	// A plain error still lands in the generic bucket.
-	plain := asFlowError(bench.ALU(4), arch, FlowA, errors.New("boom"))
+	plain := asFlowError("ALU", arch.Name, "flow a", errors.New("boom"))
 	if plain.Stage != "flow" {
 		t.Fatalf("plain error stage = %q, want %q", plain.Stage, "flow")
 	}

@@ -2,13 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"vpga/internal/bench"
@@ -65,8 +62,12 @@ type MatrixOptions struct {
 	// run fails with Stage "timeout" (0 = no per-run bound).
 	PerRunTimeout time.Duration
 	// ContinueOnError keeps the matrix going past failing cells: the
-	// failures land in Matrix.Errors and the matrix comes back
-	// partially populated instead of aborting on the first error.
+	// failures land in Matrix.Errors (the dependents of a failed
+	// clock-pinning run as Stage "skipped") and the matrix comes back
+	// partially populated with a nil error. Without it the matrix
+	// aborts — cells that sort after a recorded failure are skipped —
+	// and returns the lowest (design, arch, flow) failure, which always
+	// runs, so the error is the same at any Parallel setting.
 	ContinueOnError bool
 	// Defects injects a fabric defect map into every run. Defective
 	// runs go through the bounded repair ladder (RunFlowRepair).
@@ -87,16 +88,9 @@ var testPanicHook func(design, arch string, flow FlowKind)
 // supervisedRun executes one flow run under the supervisor: a per-run
 // timeout, panic isolation (a crashed worker becomes a *FlowError with
 // Stage "panic" instead of taking down the process), and the repair
-// ladder when a defect map is present.
-func supervisedRun(ctx context.Context, d bench.Design, cfg Config, timeout time.Duration) (*Report, error) {
-	rep, _, err := supervisedRunFull(ctx, d, cfg, timeout, false)
-	return rep, err
-}
-
-// supervisedRunFull is supervisedRun optionally surfacing the physical
-// artifacts (clean-fabric runs only: the repair ladder reports without
-// them).
-func supervisedRunFull(ctx context.Context, d bench.Design, cfg Config, timeout time.Duration, wantArtifacts bool) (rep *Report, art *Artifacts, err error) {
+// ladder when a defect map is present. The repair ladder reports
+// without artifacts.
+func supervisedRun(ctx context.Context, d bench.Design, cfg Config, timeout time.Duration) (rep *Report, art *Artifacts, err error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -116,121 +110,13 @@ func supervisedRunFull(ctx context.Context, d bench.Design, cfg Config, timeout 
 		rep, err = RunFlowRepair(ctx, d, cfg)
 		return rep, nil, err
 	}
-	rep, art, err = execFlow(ctx, d, cfg)
-	if !wantArtifacts {
-		art = nil
-	}
-	return rep, art, err
+	return RunFlow(ctx, d, cfg)
 }
 
-// asFlowError coerces err into a *FlowError for the ledger. It walks
-// the wrap chain with errors.As — a stage error wrapped by fmt.Errorf
-// keeps its real failing stage instead of degrading to "flow".
-func asFlowError(d bench.Design, arch *cells.PLBArch, flow FlowKind, err error) *FlowError {
-	var fe *FlowError
-	if errors.As(err, &fe) {
-		return fe
-	}
-	return &FlowError{Design: d.Name, Arch: arch.Name, Flow: flow.String(), Stage: "flow", Err: err}
-}
-
-// progressEmitter delivers Progress lines outside the pool mutex:
-// every matrix cell holds a pre-assigned ticket (its canonical
-// (design, arch, flow) index), a worker deposits its rendered line —
-// or an empty placeholder for a failed cell — and returns to the pool
-// immediately; a single emitter goroutine delivers lines one at a
-// time in ticket order. Callbacks therefore stay serialized and
-// arrive in the same order at any worker count, but a slow — or even
-// matrix-re-entrant — callback can no longer hold the pool mutex and
-// serialize or deadlock the workers.
-type progressEmitter struct {
-	cb   func(string)
-	mu   sync.Mutex
-	cond *sync.Cond
-	next int            // next ticket to deliver
-	buf  map[int]string // deposited lines awaiting delivery
-	done bool           // no further deposits will arrive
-	quit chan struct{}  // closed when the emitter goroutine drains
-}
-
-func newProgressEmitter(cb func(string)) *progressEmitter {
-	e := &progressEmitter{cb: cb, buf: map[int]string{}, quit: make(chan struct{})}
-	e.cond = sync.NewCond(&e.mu)
-	go e.loop()
-	return e
-}
-
-func (e *progressEmitter) deposit(ticket int, line string) {
-	e.mu.Lock()
-	e.buf[ticket] = line
-	e.mu.Unlock()
-	e.cond.Signal()
-}
-
-func (e *progressEmitter) loop() {
-	defer close(e.quit)
-	e.mu.Lock()
-	for {
-		if line, ok := e.buf[e.next]; ok {
-			delete(e.buf, e.next)
-			e.next++
-			e.mu.Unlock()
-			if line != "" { // failed cells deposit a placeholder
-				e.cb(line) // outside the lock: the callback may block freely
-			}
-			e.mu.Lock()
-			continue
-		}
-		if e.done {
-			// Cells skipped by an abort never deposit; jump their gap
-			// and deliver whatever remains in ticket order.
-			if len(e.buf) == 0 {
-				e.mu.Unlock()
-				return
-			}
-			min := -1
-			for t := range e.buf {
-				if min < 0 || t < min {
-					min = t
-				}
-			}
-			e.next = min
-			continue
-		}
-		e.cond.Wait()
-	}
-}
-
-// close ends the stream and blocks until every deposited line has been
-// delivered. Callers must have finished all deposits.
-func (e *progressEmitter) close() {
-	e.mu.Lock()
-	e.done = true
-	e.mu.Unlock()
-	e.cond.Signal()
-	<-e.quit
-}
-
-// sortLedger orders the error ledger by (design, arch, flow) so it is
-// identical at any worker count.
-func sortLedger(errs []*FlowError) {
-	sort.Slice(errs, func(i, j int) bool {
-		a, b := errs[i], errs[j]
-		if a.Design != b.Design {
-			return a.Design < b.Design
-		}
-		if a.Arch != b.Arch {
-			return a.Arch < b.Arch
-		}
-		return a.Flow < b.Flow
-	})
-}
-
-// RunMatrix executes every (design, arch, flow) combination on a
-// bounded worker pool under the flow supervisor. The clock period of
-// each design is fixed across its four runs — 1.2× the post-layout
-// arrival of the first run — so slack comparisons are apples to
-// apples, mirroring the paper's single cycle time per table.
+// RunMatrix executes every (design, arch, flow) combination of the
+// suite through ExecuteMatrix, which owns the cross-cell rules (the
+// pinned clock per design, the ledger, abort and progress order), on a
+// bounded pool of local lanes under the flow supervisor.
 //
 // Each (design, arch) anneals once. Its two cells form a chain that
 // holds one pool slot: flow b starts right after flow a and restores
@@ -238,15 +124,17 @@ func sortLedger(errs []*FlowError) {
 // opts.Stages, or else an in-memory tier of the chain's own, dropped
 // when the chain ends. Designs run concurrently; within a design the
 // clock-pinning run (granular / flow a) heads the granular chain, and
-// the lut chain starts as soon as it finishes.
+// the lut chain starts as soon as it finishes. A failed flow a does
+// not skip its flow b, which then computes the placement itself.
 //
 // Failures never crash or hang the pool: a panicking worker, a timed
 // out run, or an unroutable defect map becomes a *FlowError in the
 // returned matrix's ledger. With opts.ContinueOnError the remaining
 // cells still run and the partially-populated matrix is returned with
-// a nil error; otherwise the pool drains and RunMatrix returns the
-// partial matrix together with the first error. Cancelling ctx stops
-// the matrix at the next iteration boundary of every in-flight run.
+// a nil error; otherwise RunMatrix returns the partial matrix together
+// with the lowest (design, arch, flow) failure — the same one at any
+// Parallel setting. Cancelling ctx stops the matrix at the next
+// iteration boundary of every in-flight run.
 func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Matrix, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -255,176 +143,37 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	m := &Matrix{Designs: suite.All(), Reports: map[string]map[string]map[string]*Report{}}
+	designs := suite.All()
 	archs := []*cells.PLBArch{cells.GranularPLB(), cells.LUTPLB()}
 	// All cells share one router-state pool: the grids are similarly
 	// shaped, so after warm-up each run checks out ready-sized scratch
 	// instead of allocating it. Reuse never changes reports.
 	pool := route.NewPool()
-
-	// Report maps are pre-built sequentially so workers only write leaf
-	// entries (under mu).
-	for _, d := range m.Designs {
-		m.Reports[d.Name] = map[string]map[string]*Report{}
-		for _, arch := range archs {
-			m.Reports[d.Name][arch.Name] = map[string]*Report{}
+	sem := make(chan struct{}, par)
+	lane := func(body func(run CellFunc)) {
+		sem <- struct{}{}
+		defer func() { <-sem }()
+		// No other chain shares this one's keys, so without opts.Stages
+		// its tier lives only as long as the lane.
+		stages := opts.Stages
+		if stages == nil {
+			stages = newMemStageCache()
 		}
-	}
-
-	var (
-		sem      = make(chan struct{}, par)
-		mu       sync.Mutex // guards Reports, Errors, firstErr
-		firstErr error
-		wg       sync.WaitGroup
-		emitter  *progressEmitter
-	)
-	if opts.Progress != nil {
-		emitter = newProgressEmitter(opts.Progress)
-	}
-	// Every cell owns a pre-assigned progress ticket — its canonical
-	// index in (design, arch, flow) order — so the emitter delivers
-	// lines in the same order at any worker count.
-	flows := []FlowKind{FlowA, FlowB}
-	seq := func(di, ai, fi int) int { return di*len(archs)*len(flows) + ai*len(flows) + fi }
-	skip := func(ticket int) {
-		if emitter != nil {
-			emitter.deposit(ticket, "")
-		}
-	}
-	fail := func(fe *FlowError) {
-		mu.Lock()
-		m.Errors = append(m.Errors, fe)
-		if firstErr == nil {
-			firstErr = fe
-		}
-		mu.Unlock()
-	}
-	// runOne executes one flow run on the caller's pool slot; it returns
-	// nil without running when the matrix is already aborting. A nil
-	// return always deposits the cell's placeholder ticket.
-	runOne := func(d bench.Design, arch *cells.PLBArch, flow FlowKind, clock float64, stages *StageCache, ticket int) *Report {
-		mu.Lock()
-		bail := firstErr != nil && !opts.ContinueOnError
-		mu.Unlock()
-		cfg := Config{
-			Arch: arch, Flow: flow, ClockPeriod: clock,
-			Seed: opts.Seed, PlaceEffort: opts.PlaceEffort, PlaceWorkers: opts.PlaceWorkers,
-			Verify: opts.Verify, Defects: opts.Defects, RepairBudget: opts.RepairBudget,
-			Stages: stages, routePool: pool,
-		}
-		if bail {
-			skip(ticket)
-			return nil
-		}
-		if err := ctxFlowErr(ctx, d, cfg); err != nil {
-			fail(err)
-			skip(ticket)
-			return nil
-		}
-		cfg.Trace = opts.Trace.NewRun(d.Name + "/" + arch.Name + "/" + flow.String())
-		defer cfg.Trace.Close()
-		rep, err := supervisedRun(ctx, d, cfg, opts.PerRunTimeout)
-		if err != nil {
-			fail(asFlowError(d, arch, flow, err))
-			skip(ticket)
-			return nil
-		}
-		return rep
-	}
-	store := func(d bench.Design, arch *cells.PLBArch, flow FlowKind, rep *Report, ticket int) {
-		line := ""
-		if emitter != nil {
-			line = rep.summary()
-		}
-		mu.Lock()
-		m.Reports[d.Name][arch.Name][flow.String()] = rep
-		mu.Unlock()
-		// The Progress callback runs on the emitter goroutine, never
-		// under mu: a slow callback cannot serialize the pool.
-		if emitter != nil {
-			emitter.deposit(ticket, line)
-		}
-	}
-	// runChain executes the cells of one (design, arch) from flow index
-	// from on, in flow order, on the caller's pool slot. A failed flow a
-	// does not skip its flow b, which then computes the placement itself.
-	runChain := func(di int, d bench.Design, ai, from int, clock float64, stages *StageCache) {
-		for fi := from; fi < len(flows); fi++ {
-			ticket := seq(di, ai, fi)
-			if rep := runOne(d, archs[ai], flows[fi], clock, stages, ticket); rep != nil {
-				store(d, archs[ai], flows[fi], rep, ticket)
+		body(func(c Cell) (*Report, error) {
+			d, arch := designs[c.Design], archs[c.Arch]
+			cfg := Config{
+				Arch: arch, Flow: c.Flow, ClockPeriod: c.Clock,
+				Seed: opts.Seed, PlaceEffort: opts.PlaceEffort, PlaceWorkers: opts.PlaceWorkers,
+				Verify: opts.Verify, Defects: opts.Defects, RepairBudget: opts.RepairBudget,
+				Stages: stages, routePool: pool,
+				Trace: opts.Trace.NewRun(d.Name + "/" + arch.Name + "/" + c.Flow.String()),
 			}
-		}
+			defer cfg.Trace.Close()
+			rep, _, err := supervisedRun(ctx, d, cfg, opts.PerRunTimeout)
+			return rep, err
+		})
 	}
-	// tier returns the stage cache one (design, arch) chain runs
-	// against: opts.Stages, or else a fresh in-memory tier that lives
-	// only as long as the chain, since no other chain shares its keys.
-	tier := func() *StageCache {
-		if opts.Stages != nil {
-			return opts.Stages
-		}
-		return newMemStageCache()
-	}
-	// skipDependents records the three clock-dependent cells of a design
-	// whose clock-pinning run failed, so the ledger accounts for every
-	// cell that did not produce a report.
-	skipDependents := func(di int, d bench.Design) {
-		for ai, arch := range archs {
-			for fi, flow := range flows {
-				if ai == 0 && flow == FlowA {
-					continue
-				}
-				fail(&FlowError{Design: d.Name, Arch: arch.Name, Flow: flow.String(),
-					Stage: "skipped", Err: fmt.Errorf("clock-pinning run failed")})
-				skip(seq(di, ai, fi))
-			}
-		}
-	}
-
-	for di, d := range m.Designs {
-		wg.Add(1)
-		go func(di int, d bench.Design) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// The first run pins the design's clock period for all four
-			// runs: 1.2× its post-layout arrival, so slacks hover near
-			// zero like the paper's Table 2.
-			stages := tier()
-			first := runOne(d, archs[0], FlowA, 0, stages, seq(di, 0, 0))
-			if first == nil {
-				if opts.ContinueOnError {
-					skipDependents(di, d)
-				}
-				// Without ContinueOnError the dependents never deposit;
-				// the emitter skips their tickets when it drains.
-				return
-			}
-			clock := 1.2 * first.MaxArrival
-			first.Reclock(clock)
-			store(d, archs[0], FlowA, first, seq(di, 0, 0))
-
-			// The pin heads the granular chain, which keeps this slot for
-			// its flow b; the lut chain waits for a slot of its own.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				runChain(di, d, 1, 0, clock, tier())
-			}()
-			runChain(di, d, 0, 1, clock, stages)
-		}(di, d)
-	}
-	wg.Wait()
-	if emitter != nil {
-		emitter.close()
-	}
-	sortLedger(m.Errors)
-	if firstErr != nil && !opts.ContinueOnError {
-		return m, firstErr
-	}
-	return m, nil
+	return ExecuteMatrix(ctx, designs, CellRunner{Lane: lane, Chain: true}, opts.ContinueOnError, opts.Progress)
 }
 
 // Get returns one report.
@@ -683,73 +432,42 @@ func (o SweepOptions) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// GranularitySweep is the deprecated positional-seed form of
-// RunGranularitySweep.
-//
-// Deprecated: use RunGranularitySweep with SweepOptions.
-func GranularitySweep(ctx context.Context, d bench.Design, archs []*cells.PLBArch, seed int64) ([]SweepPoint, error) {
-	return RunGranularitySweep(ctx, d, archs, SweepOptions{Seed: seed})
+// runner is the local sweep runner: each lane holds one of
+// opts.workers() slots, and each cell is a traced RunFlow of d on its
+// arch against opts.Stages, every cell sharing one router-state pool.
+// Trace runs are labeled label/design/arch.
+func (o SweepOptions) runner(ctx context.Context, d bench.Design, archs []*cells.PLBArch, label string) CellRunner {
+	sem := make(chan struct{}, o.workers())
+	pool := route.NewPool()
+	return CellRunner{Lane: func(body func(run CellFunc)) {
+		sem <- struct{}{}
+		defer func() { <-sem }()
+		body(func(c Cell) (*Report, error) {
+			arch := archs[c.Arch]
+			run := o.Trace.NewRun(label + "/" + d.Name + "/" + arch.Name)
+			defer run.Close()
+			rep, _, err := RunFlow(ctx, d, Config{Arch: arch, Flow: c.Flow, ClockPeriod: c.Clock,
+				Seed: o.Seed, PlaceWorkers: o.PlaceWorkers, Trace: run,
+				Stages: o.Stages, routePool: pool})
+			return rep, err
+		})
+	}}
 }
 
 // RunGranularitySweep runs one design across a family of PLB
-// architectures of increasing granularity (experiment E8). The first
-// architecture pins the clock period; the remaining points then run
-// concurrently (bounded by opts.Parallel) with deterministic results.
+// architectures of increasing granularity (experiment E8) through
+// ExecuteSweep: the first architecture pins the clock period; the
+// remaining points then run concurrently (bounded by opts.Parallel)
+// with deterministic results. A failure returns the lowest failing
+// architecture's error.
 func RunGranularitySweep(ctx context.Context, d bench.Design, archs []*cells.PLBArch, opts SweepOptions) ([]SweepPoint, error) {
-	if len(archs) == 0 {
-		return nil, nil
-	}
-	pool := route.NewPool()
-	point := func(arch *cells.PLBArch, clock float64) (SweepPoint, float64, error) {
-		run := opts.Trace.NewRun("sweep/" + d.Name + "/" + arch.Name)
-		rep, err := RunFlow(ctx, d, Config{Arch: arch, Flow: FlowB, ClockPeriod: clock,
-			Seed: opts.Seed, PlaceWorkers: opts.PlaceWorkers, Trace: run,
-			Stages: opts.Stages, routePool: pool})
-		run.Close()
-		if err != nil {
-			return SweepPoint{}, 0, fmt.Errorf("sweep %s: %w", arch.Name, err)
-		}
-		return SweepPoint{
-			Arch: arch.Name, Slots: arch.SlotSummary(), PLBArea: arch.Area,
-			DieArea: rep.DieArea, AvgTopSlack: rep.AvgTopSlack,
-			UsedPLBs: rep.Rows * rep.Cols,
-		}, rep.ClockPeriod, nil
-	}
-
-	out := make([]SweepPoint, len(archs))
-	first, clock, err := point(archs[0], 0)
+	reps, err := ExecuteSweep(archs, opts.runner(ctx, d, archs, "sweep"))
 	if err != nil {
 		return nil, err
 	}
-	out[0] = first
-
-	var (
-		sem      = make(chan struct{}, opts.workers())
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for i := 1; i < len(archs); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pt, _, err := point(archs[i], clock)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			out[i] = pt
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	var out []SweepPoint
+	for i, rep := range reps {
+		out = append(out, SweepPointFrom(archs[i], rep))
 	}
 	return out, nil
 }

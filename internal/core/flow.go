@@ -11,12 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"vpga/internal/aig"
-	"vpga/internal/artifact"
 	"vpga/internal/bench"
 	"vpga/internal/cells"
 	"vpga/internal/compact"
@@ -103,27 +103,12 @@ type Config struct {
 	// (after StripMetrics) with or without it, so it never enters the
 	// request cache key.
 	Stages *StageCache
-	// Checkpoints is the PR 7 placement-checkpoint form of the stage
-	// cache, kept for compatibility: when Stages is nil it is wrapped
-	// as NewStageCache(Checkpoints).
-	//
-	// Deprecated: set Stages.
-	Checkpoints *artifact.Store
 	// routePool, when set, lends the router reusable working memory
 	// (usage/history arrays, A* scratch) for the run. The experiment
 	// drivers share one pool across their runs; results are
 	// bit-identical with or without it, so like PlaceWorkers it stays
 	// out of the request cache key.
 	routePool *route.Pool
-}
-
-// stageCache resolves the effective stage cache: Stages, or the
-// deprecated Checkpoints store wrapped on the fly.
-func (c *Config) stageCache() *StageCache {
-	if c.Stages != nil {
-		return c.Stages
-	}
-	return NewStageCache(c.Checkpoints)
 }
 
 // Report collects every figure of merit a flow run produces.
@@ -292,6 +277,25 @@ func (e *FlowError) Error() string {
 
 func (e *FlowError) Unwrap() error { return e.Err }
 
+// ParseFlowError rebuilds the *FlowError another process rendered as
+// msg for one cell — the inverse of Error, given the cell's
+// coordinates and the reported stage — so a coordinator ledgers and
+// fails a remote cell exactly as a single node does. A message not in
+// that form becomes the generic Stage "flow" entry a single node
+// records for an unstructured error.
+func ParseFlowError(design, arch, flow, stage, msg string) *FlowError {
+	prefix := fmt.Sprintf("core: %s/%s/%s: %s (attempt ", design, arch, flow, stage)
+	if rest, ok := strings.CutPrefix(msg, prefix); ok {
+		if n, cause, ok := strings.Cut(rest, "): "); ok {
+			if attempt, err := strconv.Atoi(n); err == nil {
+				return &FlowError{Design: design, Arch: arch, Flow: flow, Stage: stage,
+					Attempt: attempt, Err: errors.New(cause)}
+			}
+		}
+	}
+	return asFlowError(design, arch, flow, errors.New(msg))
+}
+
 // flowErr wraps a stage failure as a *FlowError for one run.
 func flowErr(d bench.Design, cfg Config, stage string, err error) *FlowError {
 	arch := ""
@@ -326,32 +330,17 @@ func ctxFlowErr(ctx context.Context, d bench.Design, cfg Config) *FlowError {
 	if err == nil {
 		return nil
 	}
-	stage := "cancelled"
-	// errors.Is, not ==: custom contexts and wrapped deadline errors
-	// must classify as timeouts too.
+	return flowErr(d, cfg, ctxStage(err), err)
+}
+
+// ctxStage names the ledger stage of a context error: "timeout" for an
+// expired deadline — errors.Is, not ==, so custom contexts and wrapped
+// deadline errors classify too — and "cancelled" otherwise.
+func ctxStage(err error) string {
 	if errors.Is(err, context.DeadlineExceeded) {
-		stage = "timeout"
+		return "timeout"
 	}
-	return flowErr(d, cfg, stage, err)
-}
-
-// RunFlow pushes one design through the flow. The context cancels the
-// run at stage and iteration boundaries; a run that completes without
-// cancellation is bit-identical to an uncancellable one.
-//
-// Deprecated: Run is the unified request-level entry point; RunFlow
-// remains for callers that already hold a resolved (design, Config)
-// pair.
-func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, error) {
-	rep, _, err := execFlow(ctx, d, cfg)
-	return rep, err
-}
-
-// RunFlowFull is RunFlow returning the physical artifacts as well.
-//
-// Deprecated: use Run with ExecOptions.WantArtifacts.
-func RunFlowFull(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifacts, error) {
-	return execFlow(ctx, d, cfg)
+	return "cancelled"
 }
 
 // stagePrefix is the resolved cached prefix of one run: the stage-key
@@ -482,15 +471,25 @@ func resolvePrefix(stages *StageCache, chain []StageKey, flow FlowKind) *stagePr
 	return p
 }
 
-// execFlow is the staged pipeline behind every flow entry point. With
-// a stage cache it resolves the deepest cached prefix of the run's
-// stage-key chain, restores it bit-identically, computes only the
+// RunFlow pushes one design through the staged pipeline on a resolved
+// Config and returns the report and the physical artifacts. It is what
+// Run executes once the supervisor has resolved the request; call it
+// directly for knobs a FlowRequest does not carry (a custom arch
+// pointer, routing scales, a prebuilt defect map). It runs unsupervised:
+// no panic isolation, and a defect map is applied without the repair
+// ladder (see RunFlowRepair).
+//
+// With a stage cache it resolves the deepest cached prefix of the
+// run's stage-key chain, restores it bit-identically, computes only the
 // suffix, and stores each computed stage's artifact; without one it is
 // the plain ten-stage flow. Cached-prefix runs produce reports
 // byte-identical (after StripMetrics) to cold runs — restoration
 // reproduces the exact netlists, positions and routing the cold run
-// computes, and everything downstream is deterministic.
-func execFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifacts, error) {
+// computes, and everything downstream is deterministic. The context
+// cancels the run at stage and iteration boundaries; a run that
+// completes without cancellation is bit-identical to an uncancellable
+// one.
+func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifacts, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -498,7 +497,7 @@ func execFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifa
 	if cfg.PlaceEffort == 0 {
 		cfg.PlaceEffort = 6
 	}
-	stages := cfg.stageCache()
+	stages := cfg.Stages
 	rep := &Report{Design: d.Name, Arch: cfg.Arch.Name, Flow: cfg.Flow.String()}
 	if cfg.Defects != nil {
 		rep.DefectSummary = cfg.Defects.String()

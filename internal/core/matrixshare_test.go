@@ -27,7 +27,7 @@ func TestRunMatrixMatchesColdRuns(t *testing.T) {
 	want := map[string]map[string]map[string]*Report{}
 	for _, design := range MatrixDesignNames() {
 		pin := cold(plan.PinTicket(design))
-		clock := plan.PinnedClock(pin)
+		clock := 1.2 * pin.MaxArrival // the pin rule ExecuteMatrix applies
 		pin.Reclock(clock)
 		pin.StripMetrics()
 		want[pin.Design] = map[string]map[string]*Report{}
@@ -83,14 +83,14 @@ func TestMemStageCacheKeepsSharedStages(t *testing.T) {
 	stages := newMemStageCache()
 	cfg := Config{Arch: cells.GranularPLB(), Flow: FlowB, Seed: 7, PlaceEffort: 1, Stages: stages}
 	d := bench.ALU(4)
-	first, err := RunFlow(context.Background(), d, cfg)
+	first, _, err := RunFlow(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(stages.mem) != 2 {
 		t.Errorf("in-memory tier holds %d artifacts, want 2 (compact, place)", len(stages.mem))
 	}
-	second, err := RunFlow(context.Background(), d, cfg)
+	second, _, err := RunFlow(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestRunMatrixParallelError(t *testing.T) {
 func TestPlaceWorkersBitIdentical(t *testing.T) {
 	d := bench.ALU(8)
 	run := func(workers int) *Report {
-		rep, err := RunFlow(context.Background(), d, Config{
+		rep, _, err := RunFlow(context.Background(), d, Config{
 			Arch: cells.GranularPLB(), Flow: FlowB, Seed: 5, PlaceEffort: 3,
 			PlaceWorkers: workers,
 		})

@@ -89,7 +89,10 @@ func repairable(err error) bool {
 // the winning report. The escalation schedule depends only on (cfg,
 // attempt), so repair is deterministic per defect map.
 func RunFlowRepair(ctx context.Context, d bench.Design, cfg Config) (*Report, error) {
-	return runFlowRepairWith(ctx, d, cfg, RunFlow)
+	return runFlowRepairWith(ctx, d, cfg, func(ctx context.Context, d bench.Design, cfg Config) (*Report, error) {
+		rep, _, err := RunFlow(ctx, d, cfg)
+		return rep, err
+	})
 }
 
 // runFlowRepairWith is RunFlowRepair with an injectable runner, so the
@@ -141,13 +144,8 @@ func runFlowRepairWith(ctx context.Context, d bench.Design, cfg Config,
 	if cfg.Arch != nil {
 		fe.Arch = cfg.Arch.Name
 	}
-	if ctx.Err() != nil {
-		// errors.Is, not ==: custom contexts may wrap the deadline error.
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			fe.Stage = "timeout"
-		} else {
-			fe.Stage = "cancelled"
-		}
+	if err := ctx.Err(); err != nil {
+		fe.Stage = ctxStage(err)
 	} else if !repairable(lastErr) {
 		// A non-physical failure isn't a repair exhaustion; surface the
 		// underlying stage error directly when it is already structured.

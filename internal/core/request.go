@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"vpga/internal/artifact"
 	"vpga/internal/bench"
 	"vpga/internal/cells"
 	"vpga/internal/defect"
@@ -83,8 +82,8 @@ func (a ArchSpec) Resolve() (*cells.PLBArch, error) {
 // Wall-clock and observability knobs (tracers, progress callbacks,
 // timeouts, annealer worker counts, router state pools) are
 // deliberately not part of the request: they never change the report,
-// so they live on the transport (server options, RunRequest
-// arguments, Config.PlaceWorkers) instead of the content address.
+// so they live on the transport (server options, ExecOptions,
+// Config.PlaceWorkers) instead of the content address.
 type FlowRequest struct {
 	// Design names a built-in benchmark: "alu", "firewire", "fpu",
 	// "switch" or "fir". Mutually exclusive with RTL.
@@ -183,7 +182,7 @@ func (r FlowRequest) Normalize() FlowRequest {
 		r.Flow = "b"
 	}
 	if r.PlaceEffort == 0 {
-		r.PlaceEffort = 6 // RunFlowFull's default, made explicit
+		r.PlaceEffort = 6 // RunFlow's default, made explicit
 	}
 	if r.DefectRate <= 0 {
 		// Clean fabric: the repair knobs cannot influence the run.
@@ -295,11 +294,6 @@ type ExecOptions struct {
 	// runs go through the repair ladder, which reports without
 	// artifacts.
 	WantArtifacts bool
-	// Checkpoints is the PR 7 placement-checkpoint form of Stages; when
-	// Stages is nil it is wrapped as NewStageCache(Checkpoints).
-	//
-	// Deprecated: set Stages.
-	Checkpoints *artifact.Store
 }
 
 // RunResult is what Run produces: the report, optionally the physical
@@ -313,12 +307,10 @@ type RunResult struct {
 }
 
 // Run is the unified pipeline entry point: it resolves the request,
-// executes the staged flow under the supervisor (panic isolation, and
-// the bounded repair ladder when the request injects defects), and —
-// when opts.Stages is set — restores the deepest cached stage prefix
-// and computes only the suffix. It subsumes the earlier RunFlow /
-// RunFlowFull / RunRequest / RunRequestExec quartet, which remain as
-// deprecated wrappers.
+// executes the staged flow (RunFlow) under the supervisor — panic
+// isolation, and the bounded repair ladder when the request injects
+// defects — and, when opts.Stages is set, restores the deepest cached
+// stage prefix and computes only the suffix.
 func Run(ctx context.Context, req FlowRequest, opts ExecOptions) (*RunResult, error) {
 	d, cfg, err := req.Resolve()
 	if err != nil {
@@ -326,35 +318,16 @@ func Run(ctx context.Context, req FlowRequest, opts ExecOptions) (*RunResult, er
 	}
 	cfg.Trace = opts.Trace
 	cfg.Stages = opts.Stages
-	cfg.Checkpoints = opts.Checkpoints
 	chain, err := stageChain(d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rep, art, err := supervisedRunFull(ctx, d, cfg, 0, opts.WantArtifacts)
+	rep, art, err := supervisedRun(ctx, d, cfg, 0)
 	if err != nil {
 		return nil, err
+	}
+	if !opts.WantArtifacts {
+		art = nil
 	}
 	return &RunResult{Report: rep, Artifacts: art, StageKeys: chain}, nil
-}
-
-// RunRequest resolves and executes a FlowRequest under the flow
-// supervisor. trace optionally records the run's stage spans and
-// solver counters; it is transport state, never part of the request or
-// its cache key.
-//
-// Deprecated: use Run.
-func RunRequest(ctx context.Context, req FlowRequest, trace *obs.Run) (*Report, error) {
-	return RunRequestExec(ctx, req, ExecOptions{Trace: trace})
-}
-
-// RunRequestExec is RunRequest with the full set of execution options.
-//
-// Deprecated: use Run.
-func RunRequestExec(ctx context.Context, req FlowRequest, opts ExecOptions) (*Report, error) {
-	res, err := Run(ctx, req, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
 }

@@ -29,10 +29,7 @@ func TestFlowRequestFieldOrderRoundTrip(t *testing.T) {
 			t.Fatalf("cache key of %s: %v", doc, err)
 		}
 		keys = append(keys, key)
-		rep, err := RunRequest(context.Background(), req, nil)
-		if err != nil {
-			t.Fatalf("run %s: %v", doc, err)
-		}
+		rep := runReport(t, req)
 		rep.StripMetrics()
 		enc, err := json.Marshal(rep)
 		if err != nil {
@@ -151,17 +148,11 @@ func TestFlowRequestValidate(t *testing.T) {
 // the supervisor's repair path and is itself deterministic.
 func TestRunRequestRepairLadder(t *testing.T) {
 	req := FlowRequest{Design: "alu", Seed: 4, DefectRate: 0.02, DefectSeed: 7}
-	r1, err := RunRequest(context.Background(), req, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := runReport(t, req)
 	if r1.DefectSummary == "" || len(r1.Attempts) == 0 {
 		t.Fatalf("repair request produced no repair evidence: %+v", r1)
 	}
-	r2, err := RunRequest(context.Background(), req, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := runReport(t, req)
 	r1.StripMetrics()
 	r2.StripMetrics()
 	b1, _ := json.Marshal(r1)
@@ -169,6 +160,16 @@ func TestRunRequestRepairLadder(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Error("repair request is not deterministic across runs")
 	}
+}
+
+// runReport executes req through Run, failing the test on error.
+func runReport(t *testing.T, req FlowRequest) *Report {
+	t.Helper()
+	res, err := Run(context.Background(), req, ExecOptions{})
+	if err != nil {
+		t.Fatalf("%s: %v", req.TicketLabel(), err)
+	}
+	return res.Report
 }
 
 // TestCanonicalKeyNamespaces: one payload under two namespaces must

@@ -21,14 +21,6 @@ type RoutingPoint struct {
 	AvgTopSlack float64
 }
 
-// RoutingSweep is the deprecated positional-seed form of
-// RunRoutingSweep.
-//
-// Deprecated: use RunRoutingSweep with SweepOptions.
-func RoutingSweep(ctx context.Context, d bench.Design, arch *cells.PLBArch, capacities []int, seed int64) ([]RoutingPoint, error) {
-	return RunRoutingSweep(ctx, d, arch, capacities, SweepOptions{Seed: seed})
-}
-
 // RunRoutingSweep explores the fabric's routing architecture — the
 // paper's closing future work ("future work will also focus on
 // exploring regular routing architectures for the VPGA fabric"): the
@@ -44,7 +36,7 @@ func RunRoutingSweep(ctx context.Context, d bench.Design, arch *cells.PLBArch, c
 	// shape never changes, so all routes after the first reuse one
 	// ready-sized State.
 	pool := route.NewPool()
-	rep, art, err := RunFlowFull(ctx, d, Config{Arch: arch, Flow: FlowB, Seed: opts.Seed,
+	rep, art, err := RunFlow(ctx, d, Config{Arch: arch, Flow: FlowB, Seed: opts.Seed,
 		PlaceWorkers: opts.PlaceWorkers, Trace: run,
 		Stages: opts.Stages, routePool: pool})
 	if err != nil {

@@ -57,16 +57,6 @@ type StabilityOptions struct {
 	Trace *obs.Tracer
 }
 
-// StabilityStudy is the deprecated positional form of
-// RunStabilityStudy.
-//
-// Deprecated: use RunStabilityStudy with StabilityOptions.
-func StabilityStudy(ctx context.Context, suite bench.Suite, seeds []int64, effort, parallel int, progress func(string)) (*ClaimStats, error) {
-	return RunStabilityStudy(ctx, suite, seeds, StabilityOptions{
-		PlaceEffort: effort, Parallel: parallel, Progress: progress,
-	})
-}
-
 // RunStabilityStudy runs the full matrix once per seed and aggregates
 // the claims. Seeds run one after another; each matrix parallelizes
 // internally up to the parallel bound (0 = GOMAXPROCS), which keeps

@@ -129,10 +129,7 @@ func TestStageKeyChain(t *testing.T) {
 // chain — every stage a hit, the annealer never runs, and the report
 // is bit-identical to the cold run's.
 func TestStageCacheFullResume(t *testing.T) {
-	cold, err := RunRequest(context.Background(), stageReq, nil)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
+	cold := runReport(t, stageReq)
 	cold.StripMetrics()
 
 	stages := testStageCache(t)
@@ -179,10 +176,7 @@ func TestStageCacheFullResume(t *testing.T) {
 func TestStageCacheClockRetarget(t *testing.T) {
 	variant := stageReq
 	variant.ClockPeriod = 9000
-	cold, err := RunRequest(context.Background(), variant, nil)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
+	cold := runReport(t, variant)
 	cold.StripMetrics()
 
 	stages := testStageCache(t)
@@ -215,7 +209,7 @@ func TestStageCacheRouteKnobVariant(t *testing.T) {
 	variant := base
 	variant.RouteCapacityScale = 1.5
 
-	cold, err := RunFlow(context.Background(), d, variant)
+	cold, _, err := RunFlow(context.Background(), d, variant)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
@@ -224,7 +218,7 @@ func TestStageCacheRouteKnobVariant(t *testing.T) {
 	stages := testStageCache(t)
 	seeded := base
 	seeded.Stages = stages
-	if _, err := RunFlow(context.Background(), d, seeded); err != nil {
+	if _, _, err := RunFlow(context.Background(), d, seeded); err != nil {
 		t.Fatalf("seeding run: %v", err)
 	}
 
@@ -232,7 +226,7 @@ func TestStageCacheRouteKnobVariant(t *testing.T) {
 	warmCfg.Stages = stages
 	run := obs.NewTracer().NewRun("route-knob")
 	warmCfg.Trace = run
-	rep, err := RunFlow(context.Background(), d, warmCfg)
+	rep, _, err := RunFlow(context.Background(), d, warmCfg)
 	run.Close()
 	if err != nil {
 		t.Fatalf("warm run: %v", err)
@@ -257,10 +251,7 @@ func TestStageCacheRouteKnobVariant(t *testing.T) {
 // the next run heals the store by recomputing, and a third run
 // finally resumes from clean entries.
 func TestStageCacheTornWrite(t *testing.T) {
-	cold, err := RunRequest(context.Background(), stageReq, nil)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
+	cold := runReport(t, stageReq)
 	cold.StripMetrics()
 
 	stages := testStageCache(t)
@@ -298,32 +289,16 @@ func TestStageCacheTornWrite(t *testing.T) {
 	}
 }
 
-// TestRunWrapperEquivalence: the deprecated entry points are thin
-// wrappers over the unified pipeline — same report, bit for bit — and
-// Run surfaces the request's stage-key chain.
+// TestRunWrapperEquivalence: Run wraps the same pipeline RunFlow runs
+// on the resolved Config — same report, bit for bit — and surfaces the
+// request's stage-key chain.
 func TestRunWrapperEquivalence(t *testing.T) {
 	ctx := context.Background()
-	viaRunRequest, err := RunRequest(ctx, stageReq, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaExec, err := RunRequestExec(ctx, stageReq, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := Run(ctx, stageReq, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaRunRequest.StripMetrics()
-	viaExec.StripMetrics()
 	res.Report.StripMetrics()
-	if !reflect.DeepEqual(viaRunRequest, viaExec) {
-		t.Fatal("RunRequest and RunRequestExec reports diverged")
-	}
-	if !reflect.DeepEqual(viaRunRequest, res.Report) {
-		t.Fatal("RunRequest and Run reports diverged")
-	}
 
 	wantKeys, err := stageReq.StageKeys()
 	if err != nil {
@@ -337,7 +312,7 @@ func TestRunWrapperEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunFlow(ctx, d, cfg)
+	direct, _, err := RunFlow(ctx, d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

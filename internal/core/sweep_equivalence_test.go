@@ -10,9 +10,9 @@ import (
 	"vpga/internal/cells"
 )
 
-// The deprecated positional sweep entry points must stay bit-identical
-// to the SweepOptions forms they wrap, and the options forms must be
-// deterministic across parallel widths.
+// The exploration drivers are deterministic: the same results at any
+// parallel width, with or without a stage cache, and the stability
+// study agrees with the matrices it aggregates.
 
 func equivalenceArchs() []*cells.PLBArch {
 	return []*cells.PLBArch{cells.GranularPLB(), cells.LUTPLB()}
@@ -30,17 +30,16 @@ func asJSON(t *testing.T, v any) []byte {
 func TestGranularitySweepEquivalence(t *testing.T) {
 	ctx := context.Background()
 	d := bench.ALU(8)
-	old, err := GranularitySweep(ctx, d, equivalenceArchs(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var first []byte
 	for _, parallel := range []int{1, 4} {
 		got, err := RunGranularitySweep(ctx, d, equivalenceArchs(), SweepOptions{Seed: 11, Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(asJSON(t, old), asJSON(t, got)) {
-			t.Errorf("RunGranularitySweep(parallel=%d) differs from deprecated GranularitySweep", parallel)
+		if enc := asJSON(t, got); first == nil {
+			first = enc
+		} else if !bytes.Equal(first, enc) {
+			t.Errorf("RunGranularitySweep(parallel=%d) differs from parallel=1", parallel)
 		}
 	}
 }
@@ -48,55 +47,63 @@ func TestGranularitySweepEquivalence(t *testing.T) {
 func TestDomainExploreEquivalence(t *testing.T) {
 	ctx := context.Background()
 	domains := []bench.Design{bench.ALU(8), bench.FIR(4, 4)}
-	old, err := DomainExplore(ctx, domains, equivalenceArchs(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var first []byte
 	for _, parallel := range []int{1, 4} {
 		got, err := RunDomainExplore(ctx, domains, equivalenceArchs(), SweepOptions{Seed: 3, Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(asJSON(t, old), asJSON(t, got)) {
-			t.Errorf("RunDomainExplore(parallel=%d) differs from deprecated DomainExplore", parallel)
+		if enc := asJSON(t, got); first == nil {
+			first = enc
+		} else if !bytes.Equal(first, enc) {
+			t.Errorf("RunDomainExplore(parallel=%d) differs from parallel=1", parallel)
 		}
 	}
 }
 
+// TestRoutingSweepEquivalence: a routing sweep over a stage cache —
+// computing it, then restoring it — matches the uncached sweep.
 func TestRoutingSweepEquivalence(t *testing.T) {
 	ctx := context.Background()
 	d := bench.ALU(8)
 	arch := cells.GranularPLB()
 	caps := []int{4, 16}
-	old, err := RoutingSweep(ctx, d, arch, caps, 3)
+	plain, err := RunRoutingSweep(ctx, d, arch, caps, SweepOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunRoutingSweep(ctx, d, arch, caps, SweepOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	stages := testStageCache(t)
+	for pass := 0; pass < 2; pass++ {
+		got, err := RunRoutingSweep(ctx, d, arch, caps, SweepOptions{Seed: 3, Stages: stages})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(asJSON(t, plain), asJSON(t, got)) {
+			t.Errorf("cached RunRoutingSweep (pass %d) differs from the uncached sweep", pass)
+		}
 	}
-	if !bytes.Equal(asJSON(t, old), asJSON(t, got)) {
-		t.Error("RunRoutingSweep differs from deprecated RoutingSweep")
+	if stages.Stats()[StageRoute].Hits == 0 {
+		t.Error("repeat routing sweep never restored its routing")
 	}
 }
 
+// TestStabilityStudyEquivalence: a one-seed study at Parallel 4 reports
+// exactly the claims of that seed's sequential matrix.
 func TestStabilityStudyEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix-per-seed study in -short mode")
 	}
 	ctx := context.Background()
 	suite := bench.TestSuite()
-	seeds := []int64{1}
-	old, err := StabilityStudy(ctx, suite, seeds, 0, 0, nil)
+	m, err := RunMatrix(ctx, suite, MatrixOptions{Seed: 1, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunStabilityStudy(ctx, suite, seeds, StabilityOptions{})
+	st, err := RunStabilityStudy(ctx, suite, []int64{1}, StabilityOptions{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(asJSON(t, old), asJSON(t, got)) {
-		t.Error("RunStabilityStudy differs from deprecated StabilityStudy")
+	if len(st.Runs) != 1 || !bytes.Equal(asJSON(t, st.Runs[0]), asJSON(t, m.DeriveClaims())) {
+		t.Errorf("RunStabilityStudy claims %+v differ from the matrix's %+v", st.Runs, m.DeriveClaims())
 	}
 }

@@ -1,6 +1,6 @@
 package core
 
-import "fmt"
+import "vpga/internal/cells"
 
 // Ticket-level request encoding: the matrix and the granularity sweep
 // are composites of independent flow runs, and every one of those runs
@@ -13,9 +13,9 @@ import "fmt"
 //
 // The only cross-cell dependency is clock pinning: one cell per
 // composite runs first with ClockPeriod 0 and its report derives the
-// clock every dependent cell is pinned to. The plans below encode
-// exactly the enumeration order and clock rules RunMatrix and
-// RunGranularitySweep use, so a ticketed execution and a monolithic
+// clock every dependent cell is pinned to. ExecuteMatrix and
+// ExecuteSweep own that rule for every composite; the plans below only
+// turn their cells into requests, so a ticketed execution and a local
 // one produce the same reports cell for cell.
 
 // MatrixDesignNames are the canonical FlowRequest design names of the
@@ -30,20 +30,10 @@ func MatrixDesignNames() []string {
 // resolved cells.PLBArch names keying Matrix.Reports, index-aligned.
 func MatrixArchKinds() []string { return []string{"granular", "lut"} }
 
-// MatrixArchNames resolves MatrixArchKinds to the Report/Matrix arch
-// names ("granular-plb", "lut-plb").
-func MatrixArchNames() []string {
-	kinds := MatrixArchKinds()
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		arch, err := ArchSpec{Kind: k}.Resolve()
-		if err != nil {
-			panic(fmt.Sprintf("core: named arch %q: %v", k, err)) // unreachable: named kinds always resolve
-		}
-		names[i] = arch.Name
-	}
-	return names
-}
+// MatrixArchNames are the names MatrixArchKinds resolve to
+// ("granular-plb", "lut-plb"), spelled out so enumerating cells never
+// builds an architecture.
+func MatrixArchNames() []string { return []string{"granular-plb", "lut-plb"} }
 
 // MatrixFlows are the matrix's flow columns in canonical order.
 func MatrixFlows() []string { return []string{"a", "b"} }
@@ -70,28 +60,21 @@ type MatrixPlan struct {
 	RepairBudget int
 }
 
-// cell assembles one cell's canonical FlowRequest.
-func (p MatrixPlan) cell(design, archKind, flow string, clock float64) FlowRequest {
+// Ticket assembles the canonical FlowRequest of one of design's cells.
+func (p MatrixPlan) Ticket(design string, c Cell) FlowRequest {
 	req := FlowRequest{
 		Design: design, Scale: p.Scale,
-		Arch: ArchSpec{Kind: archKind}, Flow: flow,
-		Seed: p.Seed, ClockPeriod: clock, PlaceEffort: p.PlaceEffort,
+		Arch: ArchSpec{Kind: MatrixArchKinds()[c.Arch]}, Flow: MatrixFlows()[c.Flow],
+		Seed: p.Seed, ClockPeriod: c.Clock, PlaceEffort: p.PlaceEffort,
 		DefectRate: p.DefectRate, DefectSeed: p.DefectSeed, RepairBudget: p.RepairBudget,
 	}
 	return req.Normalize()
 }
 
 // PinTicket is the design's clock-pinning cell: the granular / flow a
-// run at ClockPeriod 0, exactly the run RunMatrix executes first.
+// run at ClockPeriod 0, the cell ExecuteMatrix runs first.
 func (p MatrixPlan) PinTicket(design string) FlowRequest {
-	return p.cell(design, MatrixArchKinds()[0], MatrixFlows()[0], 0)
-}
-
-// PinnedClock derives the design's shared clock period from its
-// clock-pinning cell's report: 1.2x the post-layout arrival, the same
-// rule RunMatrix applies before Reclock.
-func (p MatrixPlan) PinnedClock(pin *Report) float64 {
-	return 1.2 * pin.MaxArrival
+	return p.Ticket(design, matrixCells(0, 0)[0])
 }
 
 // MatrixCell is one dependent cell: its request plus the (arch, flow)
@@ -102,42 +85,30 @@ type MatrixCell struct {
 	Req      FlowRequest
 }
 
-// MatrixCellLabel renders a cell's ticket label — the display name a
-// coordinator stamps on the cell's scheduling span in a merged
-// cluster trace ("alu/lut-plb/flow b").
-func MatrixCellLabel(design, archName, flow string) string {
-	return design + "/" + archName + "/" + flow
-}
-
-// Label is the cell's ticket label under the given design name.
-func (c MatrixCell) Label(design string) string {
-	return MatrixCellLabel(design, c.ArchName, c.Flow)
-}
-
-// PinLabel is the ticket label of the design's clock-pinning cell.
-func (p MatrixPlan) PinLabel(design string) string {
-	return MatrixCellLabel(design, MatrixArchNames()[0], "flow a") + " (pin)"
-}
-
 // DependentTickets enumerates the design's three clock-dependent cells
-// — every (arch, flow) except the pin — pinned to clock, in RunMatrix's
-// canonical (arch, flow) order.
+// — every (arch, flow) except the pin — pinned to clock, in canonical
+// (arch, flow) order.
 func (p MatrixPlan) DependentTickets(design string, clock float64) []MatrixCell {
-	kinds, names, flows := MatrixArchKinds(), MatrixArchNames(), MatrixFlows()
 	var out []MatrixCell
-	for ai, kind := range kinds {
-		for fi, flow := range flows {
-			if ai == 0 && fi == 0 {
-				continue // the pin cell
-			}
-			out = append(out, MatrixCell{
-				ArchName: names[ai],
-				Flow:     "flow " + flow,
-				Req:      p.cell(design, kind, flow, clock),
-			})
-		}
+	for _, c := range matrixCells(0, clock)[1:] {
+		out = append(out, MatrixCell{
+			ArchName: MatrixArchNames()[c.Arch],
+			Flow:     c.Flow.String(),
+			Req:      p.Ticket(design, c),
+		})
 	}
 	return out
+}
+
+// MatrixCellLabel renders a matrix cell's ticket label — the display
+// name a coordinator stamps on the cell's scheduling span in a merged
+// cluster trace ("ALU/lut-plb/flow b"; the pin ends in " (pin)").
+func MatrixCellLabel(design string, c Cell) string {
+	label := design + "/" + MatrixArchNames()[c.Arch] + "/" + c.Flow.String()
+	if c == matrixCells(c.Design, 0)[0] {
+		label += " (pin)"
+	}
+	return label
 }
 
 // SweepPlan is the ticket view of one granularity-sweep job: the
@@ -151,18 +122,12 @@ type SweepPlan struct {
 	Archs  []ArchSpec
 }
 
-// Ticket is the sweep's i-th cell: the design run under Archs[i] on
-// flow b, at ClockPeriod 0 for the clock-pinning first architecture
-// and at the pinned clock for every later one — the same rule
-// RunGranularitySweep applies (its first point's report carries the
-// derived clock as Report.ClockPeriod).
-func (p SweepPlan) Ticket(i int, clock float64) FlowRequest {
-	if i == 0 {
-		clock = 0
-	}
+// Ticket is the request of one sweep cell: the design run under
+// Archs[c.Arch] at c.Clock.
+func (p SweepPlan) Ticket(c Cell) FlowRequest {
 	req := FlowRequest{
 		Design: p.Design, Scale: p.Scale, RTL: p.RTL, Name: p.Name,
-		Arch: p.Archs[i], Flow: "b", Seed: p.Seed, ClockPeriod: clock,
+		Arch: p.Archs[c.Arch], Flow: MatrixFlows()[c.Flow], Seed: p.Seed, ClockPeriod: c.Clock,
 	}
 	return req.Normalize()
 }
@@ -184,18 +149,14 @@ func (p SweepPlan) TicketLabel(i int) string {
 	return "sweep/" + design + "/" + arch
 }
 
-// SweepPointFrom distills one sweep sample from a cell's report, the
-// same projection RunGranularitySweep applies in-process.
-func SweepPointFrom(spec ArchSpec, rep *Report) (SweepPoint, error) {
-	arch, err := spec.Resolve()
-	if err != nil {
-		return SweepPoint{}, err
-	}
+// SweepPointFrom distills one sweep sample from a cell's report: the
+// one report-to-point projection every sweep applies.
+func SweepPointFrom(arch *cells.PLBArch, rep *Report) SweepPoint {
 	return SweepPoint{
 		Arch: arch.Name, Slots: arch.SlotSummary(), PLBArea: arch.Area,
 		DieArea: rep.DieArea, AvgTopSlack: rep.AvgTopSlack,
 		UsedPLBs: rep.Rows * rep.Cols,
-	}, nil
+	}
 }
 
 // DefaultSweepArchSpecs is the E8 architecture family as serializable

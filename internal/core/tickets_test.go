@@ -8,53 +8,9 @@ import (
 	"vpga/internal/bench"
 )
 
-// TestMatrixTicketEquivalence is the ticket encoding's load-bearing
-// property: executing a design's cells as individual FlowRequests —
-// pin first, dependents pinned to the derived clock — reproduces the
-// monolithic RunMatrix cells bit-identically. This is what lets a
-// coordinator ship tickets to worker nodes and merge a byte-identical
-// matrix.
-func TestMatrixTicketEquivalence(t *testing.T) {
-	suite := bench.TestSuite()
-	m, err := RunMatrix(context.Background(), suite, MatrixOptions{Seed: 7, PlaceEffort: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.StripMetrics()
-
-	plan := MatrixPlan{Scale: "test", Seed: 7, PlaceEffort: 3}
-	design := MatrixDesignNames()[0] // alu
-	designName := suite.All()[0].Name
-
-	pin, err := RunRequest(context.Background(), plan.PinTicket(design), nil)
-	if err != nil {
-		t.Fatalf("pin ticket: %v", err)
-	}
-	clock := plan.PinnedClock(pin)
-	pin.Reclock(clock)
-	pin.StripMetrics()
-	want := m.Reports[designName][MatrixArchNames()[0]]["flow a"]
-	if !reflect.DeepEqual(pin, want) {
-		t.Fatalf("pin cell diverged from RunMatrix:\nticket %+v\nmatrix %+v", pin, want)
-	}
-
-	for _, cell := range plan.DependentTickets(design, clock) {
-		rep, err := RunRequest(context.Background(), cell.Req, nil)
-		if err != nil {
-			t.Fatalf("cell %s/%s: %v", cell.ArchName, cell.Flow, err)
-		}
-		rep.StripMetrics()
-		want := m.Reports[designName][cell.ArchName][cell.Flow]
-		if !reflect.DeepEqual(rep, want) {
-			t.Fatalf("cell %s/%s diverged from RunMatrix:\nticket %+v\nmatrix %+v",
-				cell.ArchName, cell.Flow, rep, want)
-		}
-	}
-}
-
 // TestSweepTicketEquivalence: a granularity sweep rebuilt from tickets
-// — first arch pins the clock, later archs run pinned — matches
-// RunGranularitySweep point for point.
+// through ExecuteSweep — first arch pins the clock, later archs run
+// pinned — matches RunGranularitySweep point for point.
 func TestSweepTicketEquivalence(t *testing.T) {
 	specs := DefaultSweepArchSpecs()[:3]
 	resolved := DefaultSweepArchs()[:3]
@@ -66,23 +22,22 @@ func TestSweepTicketEquivalence(t *testing.T) {
 	}
 
 	plan := SweepPlan{Design: "alu", Scale: "test", Seed: 5, Archs: specs}
-	first, err := RunRequest(context.Background(), plan.Ticket(0, 0), nil)
+	tickets := CellRunner{Lane: func(body func(run CellFunc)) {
+		body(func(c Cell) (*Report, error) {
+			res, err := Run(context.Background(), plan.Ticket(c), ExecOptions{})
+			if err != nil {
+				return nil, err
+			}
+			return res.Report, nil
+		})
+	}}
+	reps, err := ExecuteSweep(resolved, tickets)
 	if err != nil {
-		t.Fatalf("sweep pin ticket: %v", err)
-	}
-	clock := first.ClockPeriod
-	got := make([]SweepPoint, len(specs))
-	if got[0], err = SweepPointFrom(specs[0], first); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(specs); i++ {
-		rep, err := RunRequest(context.Background(), plan.Ticket(i, clock), nil)
-		if err != nil {
-			t.Fatalf("sweep ticket %d: %v", i, err)
-		}
-		if got[i], err = SweepPointFrom(specs[i], rep); err != nil {
-			t.Fatal(err)
-		}
+	got := make([]SweepPoint, len(reps))
+	for i, rep := range reps {
+		got[i] = SweepPointFrom(resolved[i], rep)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ticketed sweep diverged:\nticket %+v\nmono   %+v", got, want)
@@ -116,6 +71,13 @@ func TestMatrixPlanEnumeration(t *testing.T) {
 		}
 		if _, err := cell.Req.CacheKey(); err != nil {
 			t.Fatalf("cell %d has no content address: %v", i, err)
+		}
+	}
+	// The spelled-out arch names are what the kinds resolve to.
+	for i, kind := range MatrixArchKinds() {
+		arch, err := ArchSpec{Kind: kind}.Resolve()
+		if err != nil || arch.Name != MatrixArchNames()[i] {
+			t.Fatalf("arch kind %q resolves to %v (%v), want %q", kind, arch, err, MatrixArchNames()[i])
 		}
 	}
 	// Defect knobs propagate and normalize like MatrixRequest's.

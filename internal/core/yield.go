@@ -91,7 +91,7 @@ func DefectYield(ctx context.Context, d bench.Design, arch *cells.PLBArch, opts 
 			pt := YieldPoint{MapSeed: seed, Defects: dm.Counts()}
 			if ctx.Err() == nil {
 				run := opts.Trace.NewRun(fmt.Sprintf("%s/%s/map%d", d.Name, arch.Name, i))
-				rep, err := supervisedRun(ctx, d, Config{
+				rep, _, err := supervisedRun(ctx, d, Config{
 					Arch: arch, Flow: FlowB, Seed: opts.FlowSeed,
 					Defects: dm, RepairBudget: budget, Trace: run,
 					routePool: pool,

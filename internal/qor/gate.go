@@ -104,12 +104,12 @@ func RunGate(ctx context.Context, opts GateOptions) ([]Record, error) {
 			n := req.Normalize()
 			run := opts.Trace.NewRun(n.Design + "/" + n.Arch.Kind + "/flow " + n.Flow)
 			defer run.Close()
-			rep, err := core.RunRequest(ctx, req, run)
+			res, err := core.Run(ctx, req, core.ExecOptions{Trace: run})
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			recs[i] = FromReport(rep, n.Seed, key)
+			recs[i] = FromReport(res.Report, n.Seed, key)
 		}(i, req)
 	}
 	wg.Wait()

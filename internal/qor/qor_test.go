@@ -174,17 +174,17 @@ func TestRecordDeterminism(t *testing.T) {
 	}
 	tr := obs.NewTracer()
 	run := tr.NewRun("alu/granular/flow b")
-	rep1, err := core.RunRequest(context.Background(), req, run)
+	res1, err := core.Run(context.Background(), req, core.ExecOptions{Trace: run})
 	run.Close()
 	if err != nil {
 		t.Fatalf("traced run: %v", err)
 	}
-	rep2, err := core.RunRequest(context.Background(), req, nil)
+	res2, err := core.Run(context.Background(), req, core.ExecOptions{})
 	if err != nil {
 		t.Fatalf("untraced run: %v", err)
 	}
-	rec1 := FromReport(rep1, 5, key)
-	rec2 := FromReport(rep2, 5, key)
+	rec1 := FromReport(res1.Report, 5, key)
+	rec2 := FromReport(res2.Report, 5, key)
 	if rec1.StageSeconds == nil || rec1.MovesPerSec <= 0 {
 		t.Fatalf("traced record carries no perf block: %+v", rec1)
 	}

@@ -130,11 +130,13 @@ func startChaosDaemon(t *testing.T, dataDir string, env ...string) *chaosDaemon 
 // rawResponse decodes a job envelope keeping the result's raw bytes,
 // so byte-identity can be asserted rather than value-identity.
 type rawResponse struct {
-	ID     string          `json:"id"`
-	Status string          `json:"status"`
-	Cached bool            `json:"cached"`
-	Error  string          `json:"error"`
-	Result json.RawMessage `json:"result"`
+	ID        string          `json:"id"`
+	Status    string          `json:"status"`
+	Cached    bool            `json:"cached"`
+	Error     string          `json:"error"`
+	Stage     string          `json:"stage"`
+	ErrorKind string          `json:"error_kind"`
+	Result    json.RawMessage `json:"result"`
 }
 
 func httpJSON(t *testing.T, method, url, body string) (int, rawResponse) {

@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"vpga/internal/cells"
 	"vpga/internal/core"
 	"vpga/internal/obs"
 )
@@ -924,137 +924,63 @@ func (c *Coordinator) submitMatrix(w http.ResponseWriter, r *http.Request, req M
 	return j
 }
 
-// cellFailure is one failed or skipped matrix cell, carried as the
-// exact error string a single-node RunMatrix ledger would render.
-type cellFailure struct {
-	design, arch, flow, msg string
-}
-
-// runMatrixJob executes a matrix as 16 tickets — per design, the
-// clock-pinning cell first, then its three dependents pinned to the
-// derived clock — and merges the cells into the same MatrixResult a
-// single node computes: identical report maps (pre-built like
-// RunMatrix, reclocked pins, stripped metrics), the error ledger
-// sorted by (design, arch, flow), and the rendered tables/claims when
-// the matrix is complete.
+// runMatrixJob executes a matrix through core.ExecuteMatrix with a
+// ticket runner — per design the clock-pinning cell first, then its
+// three dependents at once, pinned to the derived clock — so pinning,
+// the ledger, the returned error and the merged MatrixResult are the
+// ones a single node computes.
 func (c *Coordinator) runMatrixJob(j *cjob, req MatrixRequest) {
 	n := req.normalize()
-	suite := req.suite()
-	designs := suite.All()
+	designs := req.suite().All()
 	designReqs := core.MatrixDesignNames()
-	archNames := core.MatrixArchNames()
 	plan := core.MatrixPlan{
 		Scale: n.Scale, Seed: n.Seed, PlaceEffort: n.PlaceEffort,
 		DefectRate: n.DefectRate, DefectSeed: n.DefectSeed, RepairBudget: n.RepairBudget,
 	}
-
-	reports := make(map[string]map[string]map[string]*core.Report, len(designs))
-	for _, d := range designs {
-		reports[d.Name] = map[string]map[string]*core.Report{}
-		for _, arch := range archNames {
-			reports[d.Name][arch] = map[string]*core.Report{}
-		}
-	}
-
-	var (
-		mu       sync.Mutex
-		failures []cellFailure
-		wg       sync.WaitGroup
-	)
-	fail := func(design, arch, flow, msg string) {
-		mu.Lock()
-		failures = append(failures, cellFailure{design, arch, flow, msg})
-		mu.Unlock()
-	}
-	// cellReport resolves one ticket envelope into a stripped report.
-	cellReport := func(env *rawEnvelope, err error) (*core.Report, string) {
-		switch {
-		case err != nil:
-			return nil, err.Error()
-		case env.Status == "failed":
-			return nil, env.Error
-		}
-		rep := &core.Report{}
-		if err := json.Unmarshal(env.Result, rep); err != nil {
-			return nil, fmt.Sprintf("decoding cell report: %v", err)
-		}
-		rep.StripMetrics()
-		return rep, ""
-	}
-
-	for di := range designs {
-		wg.Add(1)
-		go func(di int) {
-			defer wg.Done()
-			d := designs[di]
-			pinReq := plan.PinTicket(designReqs[di])
-			pin, msg := cellReport(c.runTicket(j, plan.PinLabel(d.Name), "run", "/v1/runs", pinReq, mustKey(pinReq)))
-			if pin == nil {
-				fail(d.Name, archNames[0], "flow a", msg)
-				// The three dependents never run: ledger them exactly like
-				// RunMatrix's skipDependents.
-				for _, cell := range plan.DependentTickets(designReqs[di], 0) {
-					fail(d.Name, cell.ArchName, cell.Flow,
-						(&core.FlowError{Design: d.Name, Arch: cell.ArchName, Flow: cell.Flow,
-							Stage: "skipped", Err: errors.New("clock-pinning run failed")}).Error())
-				}
-				return
-			}
-			clock := plan.PinnedClock(pin)
-			pin.Reclock(clock)
-			mu.Lock()
-			reports[d.Name][archNames[0]]["flow a"] = pin
-			mu.Unlock()
-
-			var iwg sync.WaitGroup
-			for _, cell := range plan.DependentTickets(designReqs[di], clock) {
-				iwg.Add(1)
-				go func(cell core.MatrixCell) {
-					defer iwg.Done()
-					rep, msg := cellReport(c.runTicket(j, cell.Label(d.Name), "run", "/v1/runs", cell.Req, mustKey(cell.Req)))
-					if rep == nil {
-						fail(d.Name, cell.ArchName, cell.Flow, msg)
-						return
-					}
-					mu.Lock()
-					reports[d.Name][cell.ArchName][cell.Flow] = rep
-					mu.Unlock()
-				}(cell)
-			}
-			iwg.Wait()
-		}(di)
-	}
-	wg.Wait()
-
+	tickets := c.cellRunner(j, func(cell core.Cell) (core.FlowRequest, string) {
+		return plan.Ticket(designReqs[cell.Design], cell), core.MatrixCellLabel(designs[cell.Design].Name, cell)
+	})
+	m, err := core.ExecuteMatrix(c.baseCtx, designs, tickets, n.ContinueOnError, nil)
 	endMerge := j.trace.span("merge", map[string]any{"cells": len(designs) * 4})
 	defer endMerge()
-	sort.Slice(failures, func(i, k int) bool {
-		a, b := failures[i], failures[k]
-		if a.design != b.design {
-			return a.design < b.design
-		}
-		if a.arch != b.arch {
-			return a.arch < b.arch
-		}
-		return a.flow < b.flow
-	})
-	if len(failures) > 0 && !n.ContinueOnError {
-		j.fail(failures[0].msg, "", "")
+	if err != nil {
+		j.fail(failure(err))
 		return
 	}
-	res := MatrixResult{Reports: reports}
-	for _, f := range failures {
-		res.Errors = append(res.Errors, f.msg)
-	}
-	if len(failures) == 0 {
-		m := &core.Matrix{Designs: designs, Reports: reports}
-		res.Table1 = m.Table1()
-		res.Table2 = m.Table2()
-		claims := m.DeriveClaims()
-		res.Claims = &claims
+	res := matrixResult(m)
+	if len(res.Errors) == 0 {
 		c.cache.put(j.key, res)
 	}
 	j.finish(res, false)
+}
+
+// cellRunner is the coordinator's core.CellRunner: each cell is a
+// ticket of its own, so a composite's dependent cells go out at once —
+// workers keep no stage tier a chain of cells could share. ticket
+// builds a cell's request and label. A failed ticket comes back as the
+// *core.FlowError the worker rendered, at the coordinates its request
+// resolves to, so it is ledgered exactly as a single node ledgers it.
+func (c *Coordinator) cellRunner(j *cjob, ticket func(core.Cell) (core.FlowRequest, string)) core.CellRunner {
+	run := func(cell core.Cell) (*core.Report, error) {
+		req, label := ticket(cell)
+		env, err := c.runTicket(j, label, "run", "/v1/runs", req, mustKey(req))
+		switch {
+		case err != nil:
+			return nil, err
+		case env.Status == "failed":
+			d, cfg, err := req.Resolve()
+			if err != nil {
+				return nil, err
+			}
+			return nil, core.ParseFlowError(d.Name, cfg.Arch.Name, cfg.Flow.String(), env.Stage, env.Error)
+		}
+		rep := &core.Report{}
+		if err := json.Unmarshal(env.Result, rep); err != nil {
+			return nil, fmt.Errorf("decoding cell report: %w", err)
+		}
+		return rep, nil
+	}
+	return core.CellRunner{Lane: func(body func(core.CellFunc)) { body(run) }}
 }
 
 // mustKey content-addresses an already-normalized cell request; cells
@@ -1093,10 +1019,13 @@ func (c *Coordinator) submitGranularitySweep(w http.ResponseWriter, r *http.Requ
 	if len(specs) == 0 {
 		specs = core.DefaultSweepArchSpecs()
 	}
-	for _, spec := range specs {
-		if _, err := spec.Resolve(); err != nil {
+	archs := make([]*cells.PLBArch, len(specs))
+	for i, spec := range specs {
+		arch, err := spec.Resolve()
+		if err != nil {
 			return bad(err)
 		}
+		archs[i] = arch
 	}
 	key, err := req.cacheKey("sweep/granularity")
 	if err != nil {
@@ -1115,72 +1044,29 @@ func (c *Coordinator) submitGranularitySweep(w http.ResponseWriter, r *http.Requ
 		Design: n.Design, Scale: n.Scale, RTL: n.RTL, Name: n.Name,
 		Seed: n.Seed, Archs: specs,
 	}
-	j := c.startJob("sweep/granularity", key, priority, tenant, func(j *cjob) { c.runSweepJob(j, plan) })
+	j := c.startJob("sweep/granularity", key, priority, tenant, func(j *cjob) { c.runSweepJob(j, plan, archs) })
 	if w != nil {
 		respondCJob(w, r, j)
 	}
 	return j
 }
 
-// runSweepJob executes a granularity sweep as tickets: the first
-// architecture pins the clock (its report's ClockPeriod), the rest run
-// pinned in parallel, and the merged points match RunGranularitySweep
-// point for point.
-func (c *Coordinator) runSweepJob(j *cjob, plan core.SweepPlan) {
-	ticketReport := func(i int, clock float64) (*core.Report, error) {
-		req := plan.Ticket(i, clock)
-		env, err := c.runTicket(j, plan.TicketLabel(i), "run", "/v1/runs", req, mustKey(req))
-		if err != nil {
-			return nil, err
-		}
-		if env.Status == "failed" {
-			return nil, errors.New(env.Error)
-		}
-		rep := &core.Report{}
-		if err := json.Unmarshal(env.Result, rep); err != nil {
-			return nil, fmt.Errorf("decoding sweep report: %w", err)
-		}
-		return rep, nil
-	}
-	first, err := ticketReport(0, 0)
+// runSweepJob executes a granularity sweep through core.ExecuteSweep
+// with a ticket runner — the first architecture pins the clock, the
+// rest run pinned at once — so the points and the failure match
+// RunGranularitySweep's.
+func (c *Coordinator) runSweepJob(j *cjob, plan core.SweepPlan, archs []*cells.PLBArch) {
+	tickets := c.cellRunner(j, func(cell core.Cell) (core.FlowRequest, string) {
+		return plan.Ticket(cell), plan.TicketLabel(cell.Arch)
+	})
+	reps, err := core.ExecuteSweep(archs, tickets)
 	if err != nil {
-		j.fail(err.Error(), "", "")
+		j.fail(failure(err))
 		return
 	}
-	clock := first.ClockPeriod
-	pts := make([]core.SweepPoint, len(plan.Archs))
-	if pts[0], err = core.SweepPointFrom(plan.Archs[0], first); err != nil {
-		j.fail(err.Error(), "", "")
-		return
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i := 1; i < len(plan.Archs); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rep, err := ticketReport(i, clock)
-			if err == nil {
-				var pt core.SweepPoint
-				if pt, err = core.SweepPointFrom(plan.Archs[i], rep); err == nil {
-					pts[i] = pt
-					return
-				}
-			}
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		j.fail(firstErr.Error(), "", "")
-		return
+	pts := make([]core.SweepPoint, len(reps))
+	for i, rep := range reps {
+		pts[i] = core.SweepPointFrom(archs[i], rep)
 	}
 	c.cache.put(j.key, pts)
 	j.finish(pts, false)

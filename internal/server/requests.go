@@ -85,6 +85,25 @@ type MatrixResult struct {
 	Claims  *core.Claims                                  `json:"claims,omitempty"`
 }
 
+// matrixResult renders a matrix as the payload both daemons serve.
+// Wall-clock metrics are stripped so the payload depends only on the
+// request: a fresh response, every later cache hit and a coordinator's
+// merge serve byte-identical matrices.
+func matrixResult(m *core.Matrix) MatrixResult {
+	m.StripMetrics()
+	res := MatrixResult{Reports: m.Reports}
+	for _, fe := range m.Errors {
+		res.Errors = append(res.Errors, fe.Error())
+	}
+	if len(m.Errors) == 0 {
+		res.Table1 = m.Table1()
+		res.Table2 = m.Table2()
+		claims := m.DeriveClaims()
+		res.Claims = &claims
+	}
+	return res
+}
+
 // buildJob rebuilds a job of the given kind from its canonical JSON
 // body. It is the one constructor both paths share: the HTTP handlers
 // (which journal the body on acceptance) and journal replay (which
@@ -196,21 +215,7 @@ func (s *Server) buildMatrixJob(req MatrixRequest) (*job, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Strip wall-clock metrics so the payload depends only on the
-		// request: the fresh response and every later cache hit serve
-		// byte-identical matrices.
-		m.StripMetrics()
-		res := MatrixResult{Reports: m.Reports}
-		for _, fe := range m.Errors {
-			res.Errors = append(res.Errors, fe.Error())
-		}
-		if len(m.Errors) == 0 {
-			res.Table1 = m.Table1()
-			res.Table2 = m.Table2()
-			claims := m.DeriveClaims()
-			res.Claims = &claims
-		}
-		return res, nil
+		return matrixResult(m), nil
 	})
 	// Matrix cells are not request-shaped (RunMatrix pins clocks across
 	// flows), so their ledger records carry no cache key.

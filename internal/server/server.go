@@ -169,12 +169,7 @@ func (j *job) complete(result any, err error) {
 	j.mu.Lock()
 	if err != nil {
 		j.status = "failed"
-		j.errMsg = err.Error()
-		j.errKind = errKind(err)
-		var fe *core.FlowError
-		if errors.As(err, &fe) {
-			j.stage = fe.Stage
-		}
+		j.errMsg, j.stage, j.errKind = failure(err)
 	} else {
 		j.status = "done"
 		j.result = result
@@ -620,11 +615,7 @@ func (s *Server) journalTerminal(j *job, jobErr error) {
 	e := journalEntry{ID: j.id, State: "done"}
 	if jobErr != nil {
 		e.State = "failed"
-		e.Error = jobErr.Error()
-		var fe *core.FlowError
-		if errors.As(jobErr, &fe) {
-			e.Stage = fe.Stage
-		}
+		e.Error, e.Stage, _ = failure(jobErr)
 	}
 	s.retryIO(func() error { return s.journal.append(e, true) })
 }
@@ -638,6 +629,18 @@ func isTimeout(err error) bool {
 	}
 	var fe *core.FlowError
 	return errors.As(err, &fe) && fe.Stage == "timeout"
+}
+
+// failure distills a job error into the envelope's failure fields —
+// the one rule both daemons apply, to a job run locally and to a
+// composite merged from tickets: the message, the failing flow stage
+// when the error carries a *core.FlowError, and the error kind.
+func failure(err error) (msg, stage, kind string) {
+	var fe *core.FlowError
+	if errors.As(err, &fe) {
+		stage = fe.Stage
+	}
+	return err.Error(), stage, errKind(err)
 }
 
 // errKind distills a job error into the machine-readable class the

@@ -18,23 +18,23 @@
 //
 // Quick start:
 //
-//	design := vpga.ALU(16)
-//	report, err := vpga.Run(design, vpga.Config{
+//	report, err := vpga.Run(ctx, vpga.ALU(16), vpga.Config{
 //	    Arch: vpga.GranularPLB(),
 //	    Flow: vpga.FlowB,
 //	})
 //
 // For serialization — scripted runs, the vpgad service, the
 // content-addressed report cache — describe the run declaratively
-// instead and let the system resolve it:
+// instead and let Execute resolve it under the flow supervisor:
 //
-//	report, err := vpga.RunRequest(ctx, vpga.FlowRequest{
+//	res, err := vpga.Execute(ctx, vpga.FlowRequest{
 //	    Design: "alu",
 //	    Arch:   vpga.ArchSpec{Kind: "granular"},
 //	    Seed:   7,
-//	}, nil)
+//	}, vpga.ExecOptions{})
 //
-// See examples/ for runnable programs and DESIGN.md for the system
+// ExampleRun and ExampleExecute hold both forms as compiled examples;
+// see examples/ for runnable programs and DESIGN.md for the system
 // inventory.
 package vpga
 
@@ -99,11 +99,15 @@ func CustomPLB(name string, nMux, nXoa, nNand, nLut, nFF int) *PLBArch {
 	return cells.CustomPLB(name, nMux, nXoa, nNand, nLut, nFF)
 }
 
-// Run pushes one design through the implementation flow. The context
-// cancels the run at stage and iteration boundaries; pass
-// context.Background() when no cancellation is needed.
+// Run pushes one design through the implementation flow on a resolved
+// Config. It runs without the flow supervisor: a panic is not
+// isolated, and a defect map in cfg is applied without the repair
+// ladder (see RunRepair and Execute). The context cancels the run at
+// stage and iteration boundaries; pass context.Background() when no
+// cancellation is needed.
 func Run(ctx context.Context, d Design, cfg Config) (*Report, error) {
-	return core.RunFlow(ctx, d, cfg)
+	rep, _, err := core.RunFlow(ctx, d, cfg)
+	return rep, err
 }
 
 // FlowRequest is the canonical, JSON-serializable description of one
@@ -118,15 +122,6 @@ type FlowRequest = core.FlowRequest
 // "granular", "lut", or "custom" with slot counts.
 type ArchSpec = core.ArchSpec
 
-// RunRequest resolves and executes a FlowRequest under the flow
-// supervisor (panic isolation; the repair ladder when the request
-// injects defects). trace optionally records the run; nil is valid.
-//
-// Deprecated: use Execute, the one pipeline-backed entry point.
-func RunRequest(ctx context.Context, req FlowRequest, trace *TraceRun) (*Report, error) {
-	return core.RunRequest(ctx, req, trace)
-}
-
 // ExecOptions carries the execution-only knobs of a request run —
 // tracing, the stage-granular build cache, artifact retention. None of
 // them change the report's bytes.
@@ -138,9 +133,10 @@ type ExecOptions = core.ExecOptions
 type RunResult = core.RunResult
 
 // Execute is the unified pipeline entry point: it resolves a
-// FlowRequest and runs it under the flow supervisor with the given
-// execution options. Every other run form — Run, RunFull, RunRequest —
-// is a thin wrapper over the same pipeline.
+// FlowRequest and runs it under the flow supervisor — panic isolation,
+// and the repair ladder for a defect-injecting request — with the
+// given execution options. Run and RunFull run the same staged
+// pipeline on an already-resolved Config, without the supervisor.
 func Execute(ctx context.Context, req FlowRequest, opts ExecOptions) (*RunResult, error) {
 	return core.Run(ctx, req, opts)
 }
@@ -250,13 +246,6 @@ func RunGranularitySweep(ctx context.Context, d Design, archs []*PLBArch, opts S
 	return core.RunGranularitySweep(ctx, d, archs, opts)
 }
 
-// GranularitySweep runs a design across a family of PLB architectures.
-//
-// Deprecated: use RunGranularitySweep, which accepts SweepOptions.
-func GranularitySweep(ctx context.Context, d Design, archs []*PLBArch, seed int64) ([]SweepPoint, error) {
-	return core.RunGranularitySweep(ctx, d, archs, SweepOptions{Seed: seed})
-}
-
 // DefaultSweepArchs returns the standard granularity family.
 func DefaultSweepArchs() []*PLBArch { return core.DefaultSweepArchs() }
 
@@ -296,13 +285,6 @@ func RunStabilityStudy(ctx context.Context, s Suite, seeds []int64, opts Stabili
 	return core.RunStabilityStudy(ctx, s, seeds, opts)
 }
 
-// StabilityStudy runs the Table 1/2 matrix once per seed.
-//
-// Deprecated: use RunStabilityStudy, which accepts StabilityOptions.
-func StabilityStudy(ctx context.Context, s Suite, seeds []int64, effort int) (*ClaimStats, error) {
-	return core.RunStabilityStudy(ctx, s, seeds, StabilityOptions{PlaceEffort: effort})
-}
-
 // DomainResult reports per-domain architecture comparisons.
 type DomainResult = core.DomainResult
 
@@ -312,14 +294,6 @@ func RunDomainExplore(ctx context.Context, domains []Design, archs []*PLBArch, o
 	return core.RunDomainExplore(ctx, domains, archs, opts)
 }
 
-// DomainExplore finds the best PLB architecture per application
-// domain.
-//
-// Deprecated: use RunDomainExplore, which accepts SweepOptions.
-func DomainExplore(ctx context.Context, domains []Design, archs []*PLBArch, seed int64) ([]DomainResult, error) {
-	return core.RunDomainExplore(ctx, domains, archs, SweepOptions{Seed: seed})
-}
-
 // RoutingPoint is one sample of the routing-architecture sweep.
 type RoutingPoint = core.RoutingPoint
 
@@ -327,14 +301,6 @@ type RoutingPoint = core.RoutingPoint
 // track capacities (the paper's routing-architecture future work).
 func RunRoutingSweep(ctx context.Context, d Design, arch *PLBArch, capacities []int, opts SweepOptions) ([]RoutingPoint, error) {
 	return core.RunRoutingSweep(ctx, d, arch, capacities, opts)
-}
-
-// RoutingSweep routes a packed design under several per-channel track
-// capacities.
-//
-// Deprecated: use RunRoutingSweep, which accepts SweepOptions.
-func RoutingSweep(ctx context.Context, d Design, arch *PLBArch, capacities []int, seed int64) ([]RoutingPoint, error) {
-	return core.RunRoutingSweep(ctx, d, arch, capacities, SweepOptions{Seed: seed})
 }
 
 // Defect-aware fabric (yield experiments).
@@ -397,7 +363,7 @@ type Artifacts = core.Artifacts
 
 // RunFull is Run returning the physical artifacts as well.
 func RunFull(ctx context.Context, d Design, cfg Config) (*Report, *Artifacts, error) {
-	return core.RunFlowFull(ctx, d, cfg)
+	return core.RunFlow(ctx, d, cfg)
 }
 
 // WriteFloorplan renders a flow-b result as a textual floorplan: array
