@@ -55,9 +55,14 @@
 // coordinator consistent-hashes content addresses across the fleet,
 // splits matrices and granularity sweeps into per-cell tickets with
 // work stealing, and serves POST /v1/batch with priorities and
-// per-tenant fairness. Worker nodes given -node (their own base URL)
-// and -peers (every node's base URL) add the peer-cache tier: a key
-// owned by another node is looked up there once before computing.
+// per-tenant fairness. It runs the worker's job engine, so it journals
+// accepted jobs under -data (a restarted coordinator replays them under
+// their original IDs) and honours -job-timeout and -ledger. -queue is
+// worker-only: a coordinator starts every accepted job at once, because
+// its ticket scheduler is its queue. Worker nodes given -node (their
+// own base URL) and -peers (every node's base URL) add the peer-cache
+// tier: a key owned by another node is looked up there once before
+// computing; both flags are worker-only too.
 package main
 
 import (
@@ -85,7 +90,7 @@ func main() {
 	coordinator := flag.Bool("coordinator", false, "serve as cluster coordinator over the -workers node list instead of running flows locally")
 	node := flag.String("node", "", "this node's own base URL (with -peers, enables the worker peer-cache tier)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster node (worker peer-cache ring)")
-	queue := flag.Int("queue", 0, "job queue depth (0 = 2x workers); a full queue answers 429")
+	queue := flag.Int("queue", 0, "worker job queue depth (0 = 2x workers); a full queue answers 429")
 	cacheSize := flag.Int("cache", 256, "content-addressed report cache capacity (entries)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock budget (0 = none)")
 	jobsKeep := flag.Int("jobs-keep", 64, "completed job records (and traces) retained for polling")
@@ -125,13 +130,19 @@ func main() {
 	)
 	if *coordinator {
 		role = "coordinator"
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "queue", "node", "peers":
+				fatalf("-%s is a worker flag; a coordinator has no local queue or peer tier", f.Name)
+			}
+		})
 		nodes := splitURLs(*workers)
 		if len(nodes) == 0 {
 			fatalf("-coordinator needs worker base URLs in -workers, e.g. -workers http://n1:8080,http://n2:8080")
 		}
 		s, err = server.NewCoordinator(server.CoordinatorOptions{
 			Workers: nodes, CacheSize: *cacheSize, JobsKeep: *jobsKeep,
-			Logger: logger,
+			JobTimeout: *jobTimeout, LedgerPath: *ledger, DataDir: *dataDir, Logger: logger,
 		})
 	} else {
 		pool := 0

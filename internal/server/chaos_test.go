@@ -62,7 +62,7 @@ func chaosChildMain() {
 		err error
 	)
 	if ws := os.Getenv("VPGAD_CHAOS_WORKERS"); ws != "" {
-		s, err = NewCoordinator(CoordinatorOptions{Workers: strings.Split(ws, ",")})
+		s, err = NewCoordinator(CoordinatorOptions{Workers: strings.Split(ws, ","), DataDir: os.Getenv("VPGAD_CHAOS_DATA")})
 	} else {
 		s, err = New(Options{Workers: 2, DataDir: os.Getenv("VPGAD_CHAOS_DATA")})
 	}
@@ -511,5 +511,89 @@ func TestChaosClusterWorkerSIGKILL(t *testing.T) {
 	coord.cmd.Process.Signal(syscall.SIGTERM)
 	if err := coord.cmd.Wait(); err != nil {
 		t.Fatalf("coordinator did not drain cleanly: %v", err)
+	}
+}
+
+// TestChaosCoordinatorKillRestart: a coordinator with a data directory
+// is SIGKILLed while its matrix is in flight over three re-exec'd
+// workers, then restarted on the same directory. The journal replays
+// the job under its original ID, and the merged result is
+// byte-identical to the committed single-node golden.
+func TestChaosCoordinatorKillRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess chaos test skipped in -short")
+	}
+	bases := make([]string, 3)
+	for i := range bases {
+		w := startChaosDaemon(t, t.TempDir())
+		t.Cleanup(func() {
+			w.cmd.Process.Kill()
+			w.cmd.Wait()
+		})
+		bases[i] = w.base
+	}
+	workersEnv := "VPGAD_CHAOS_WORKERS=" + strings.Join(bases, ",")
+	dataDir := t.TempDir()
+	victim := startChaosDaemon(t, dataDir, workersEnv)
+	code, jr := httpJSON(t, "POST", victim.base+"/v1/matrix", chaosMatrixBody)
+	if code != http.StatusAccepted || !strings.HasPrefix(jr.ID, "c") {
+		t.Fatalf("cluster matrix submission: status %d %+v", code, jr)
+	}
+	// Kill once tickets are out, while the matrix is still in flight.
+	deadline := time.Now().Add(30 * time.Second)
+	for dispatched := int64(0); dispatched == 0; {
+		for _, n := range getCoordHealth(t, victim.base).Nodes {
+			dispatched += n.Dispatched
+		}
+		if _, st := httpJSON(t, "GET", victim.base+"/v1/runs/"+jr.ID, ""); st.Status == "done" || st.Status == "failed" {
+			t.Fatalf("matrix reached %q before the kill", st.Status)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no ticket dispatched within 30s")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	victim.cmd.Process.Kill() // SIGKILL: no drain, no terminal journal entry
+	victim.cmd.Wait()
+
+	revived := startChaosDaemon(t, dataDir, workersEnv)
+	defer func() {
+		revived.cmd.Process.Kill()
+		revived.cmd.Wait()
+	}()
+	deadline = time.Now().Add(3 * time.Minute)
+	var replayed rawResponse
+	for {
+		code, replayed = httpJSON(t, "GET", revived.base+"/v1/runs/"+jr.ID, "")
+		if code == http.StatusOK && (replayed.Status == "done" || replayed.Status == "failed") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replayed job %s never finished: status %d %+v", jr.ID, code, replayed)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if replayed.Status != "done" {
+		t.Fatalf("replayed cluster matrix failed: %s", replayed.Error)
+	}
+	checkMatrixGolden(t, replayed.Result)
+	hz, err := http.Get(revived.base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health struct {
+		Journal struct {
+			Enabled      bool  `json:"enabled"`
+			ReplayedJobs int64 `json:"replayed_jobs"`
+		} `json:"journal"`
+	}
+	json.NewDecoder(hz.Body).Decode(&health)
+	hz.Body.Close()
+	if !health.Journal.Enabled || health.Journal.ReplayedJobs < 1 {
+		t.Fatalf("revived coordinator healthz journal = %+v, want enabled with >= 1 replayed job", health.Journal)
+	}
+	revived.cmd.Process.Signal(syscall.SIGTERM)
+	if err := revived.cmd.Wait(); err != nil {
+		t.Fatalf("revived coordinator did not drain cleanly: %v", err)
 	}
 }

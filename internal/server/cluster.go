@@ -59,10 +59,8 @@ func newNodeClient(base string) *nodeClient {
 // byte-identical to the worker's own rendering.
 type rawEnvelope struct {
 	ID        string          `json:"id"`
-	Kind      string          `json:"kind"`
 	Status    string          `json:"status"`
 	Cached    bool            `json:"cached"`
-	Key       string          `json:"key"`
 	Result    json.RawMessage `json:"result"`
 	Error     string          `json:"error"`
 	Stage     string          `json:"stage"`
@@ -103,6 +101,22 @@ func (n *nodeClient) post(ctx context.Context, path string, body []byte, trace s
 	return &env, resp.StatusCode, nil
 }
 
+// get fetches path from the node: the body (bounded), the HTTP status,
+// and any transport error.
+func (n *nodeClient) get(ctx context.Context, path string) ([]byte, int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base+path, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	resp, err := n.hc.Do(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	return raw, resp.StatusCode, err
+}
+
 // cacheGet asks the node's lookup-only cache endpoint for a result's
 // raw JSON. Every failure — transport, injected transport fault,
 // non-200 — is a miss.
@@ -110,23 +124,8 @@ func (n *nodeClient) cacheGet(ctx context.Context, key string) ([]byte, bool) {
 	if faultinject.Check(peerFetchPoint) != nil {
 		return nil, false
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base+"/v1/cache/"+url.PathEscape(key), nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, false
-	}
-	return raw, true
+	raw, status, err := n.get(ctx, "/v1/cache/"+url.PathEscape(key))
+	return raw, err == nil && status == http.StatusOK
 }
 
 // traceFragment fetches a worker job's Chrome trace-event fragment
@@ -135,20 +134,9 @@ func (n *nodeClient) cacheGet(ctx context.Context, key string) ([]byte, bool) {
 // a fragment is decoration on the coordinator-side ticket span, never
 // load-bearing.
 func (n *nodeClient) traceFragment(ctx context.Context, jobID string) ([]traceEvent, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base+"/v1/runs/"+url.PathEscape(jobID)+"/trace", nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
+	raw, status, err := n.get(ctx, "/v1/runs/"+url.PathEscape(jobID)+"/trace")
 	var frag []traceEvent
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&frag); err != nil {
+	if err != nil || status != http.StatusOK || json.Unmarshal(raw, &frag) != nil {
 		return nil, false
 	}
 	return frag, true
@@ -157,22 +145,17 @@ func (n *nodeClient) traceFragment(ctx context.Context, jobID string) ([]traceEv
 // healthy probes the node's /healthz and scrapes its queue snapshot;
 // only a 200 counts as up (503 means draining — no new tickets).
 func (n *nodeClient) healthy(ctx context.Context) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base+"/healthz", nil)
+	raw, status, err := n.get(ctx, "/healthz")
 	if err != nil {
 		return false
 	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
 	var h nodeHealth
-	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h) == nil {
+	if json.Unmarshal(raw, &h) == nil {
 		n.mu.Lock()
 		n.health = h
 		n.mu.Unlock()
 	}
-	return resp.StatusCode == http.StatusOK
+	return status == http.StatusOK
 }
 
 func (n *nodeClient) lastHealth() nodeHealth {
@@ -189,7 +172,7 @@ func (n *nodeClient) lastHealth() nodeHealth {
 // lookup never loops back to self and never cascades.
 func NewPeerLookup(self string, nodes []string) func(ctx context.Context, kind, key string) ([]byte, bool) {
 	self = strings.TrimRight(self, "/")
-	r := newRing(nodes, 0)
+	r := newRing(nodes)
 	peers := make(map[string]*nodeClient, len(nodes))
 	for _, n := range nodes {
 		if c := newNodeClient(n); c.base != self {

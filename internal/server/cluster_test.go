@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"vpga/internal/faultinject"
+	"vpga/internal/qor"
 )
 
 // newTestCoordinator starts a Coordinator over the worker base URLs
@@ -26,8 +27,8 @@ import (
 // timers) and tears it down with the test.
 func newTestCoordinator(t *testing.T, opts CoordinatorOptions) (*Coordinator, *httptest.Server) {
 	t.Helper()
-	if opts.HealthInterval == 0 {
-		opts.HealthInterval = -1
+	if opts.healthInterval == 0 {
+		opts.healthInterval = -1
 	}
 	c, err := NewCoordinator(opts)
 	if err != nil {
@@ -100,8 +101,8 @@ func checkMatrixGolden(t *testing.T, result json.RawMessage) {
 // remaps only the dead member's keys.
 func TestRingDeterministicOwnership(t *testing.T) {
 	members := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r1 := newRing(members, 0)
-	r2 := newRing([]string{members[2], members[0], members[1]}, 0)
+	r1 := newRing(members)
+	r2 := newRing([]string{members[2], members[0], members[1]})
 
 	// Real ring keys are SHA-256 hex; hashed key strings stand in here
 	// so the sample spreads like content addresses do.
@@ -327,7 +328,7 @@ func TestPeerFetchFaultInjectionDegrades(t *testing.T) {
 	self := ""
 	for i := 0; i < 256 && self == ""; i++ {
 		cand := fmt.Sprintf("http://self-%d.invalid", i)
-		if newRing([]string{cand, src.URL}, 0).owner(key) == src.URL {
+		if newRing([]string{cand, src.URL}).owner(key) == src.URL {
 			self = cand
 		}
 	}
@@ -625,5 +626,97 @@ func TestBackpressureBudgetOutlastsAttemptBound(t *testing.T) {
 		if st != "done" {
 			t.Fatalf("job %d: status %q (%s) — backpressure must be waited out, not fatal", i, st, errs[i])
 		}
+	}
+}
+
+// TestCoordinatorReplaysBatchCoordinates: a coordinator with a data
+// directory journals each batch job with its priority and tenant, and
+// a restarted coordinator replays an unfinished one under its original
+// ID with both coordinates.
+func TestCoordinatorReplaysBatchCoordinates(t *testing.T) {
+	urls := newWorkerFleet(t, 1)
+	dataDir := t.TempDir()
+	c1, cts1 := newTestCoordinator(t, CoordinatorOptions{Workers: urls, DataDir: dataDir})
+	code, _ := httpJSON(t, "POST", cts1.URL+"/v1/batch",
+		`{"jobs":[{"kind":"run","priority":2,"tenant":"bulk","request":`+runBody+`}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("batch: status %d", code)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := c1.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	jn, entries, err := openJournal(filepath.Join(dataDir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted *journalEntry
+	for i := range entries {
+		if entries[i].State == "accepted" {
+			accepted = &entries[i]
+		}
+	}
+	if accepted == nil || accepted.Kind != "run" || accepted.Priority != 2 || accepted.Tenant != "bulk" {
+		t.Fatalf("journaled batch job %+v, want a run at priority 2 for tenant bulk", accepted)
+	}
+	// An unfinished batch job, as a SIGKILL leaves it.
+	replay := *accepted
+	replay.ID = "c000042"
+	if err := jn.append(replay, true); err != nil {
+		t.Fatal(err)
+	}
+	jn.close()
+
+	c2, cts2 := newTestCoordinator(t, CoordinatorOptions{Workers: urls, DataDir: dataDir})
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		code, st := httpJSON(t, "GET", cts2.URL+"/v1/runs/c000042", "")
+		if code == http.StatusOK && st.Status == "done" {
+			break
+		}
+		if st.Status == "failed" || time.Now().After(deadline) {
+			t.Fatalf("replayed batch job: status %d %+v", code, st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	c2.mu.Lock()
+	j := c2.jobs["c000042"]
+	c2.mu.Unlock()
+	if j.priority != 2 || j.tenant != "bulk" || !j.replayed {
+		t.Fatalf("replayed job priority %d tenant %q replayed %v, want 2/bulk/true", j.priority, j.tenant, j.replayed)
+	}
+}
+
+// TestCoordinatorTimeoutAndLedger: a coordinator honours JobTimeout —
+// the job fails as a timeout without marking a healthy node down — and
+// LedgerPath, appending a computed run's record but not a cache hit's.
+func TestCoordinatorTimeoutAndLedger(t *testing.T) {
+	urls := newWorkerFleet(t, 1)
+	c, cts := newTestCoordinator(t, CoordinatorOptions{Workers: urls, JobTimeout: time.Nanosecond})
+	code, jr := httpJSON(t, "POST", cts.URL+"/v1/runs?wait=1", runBody)
+	if code != http.StatusOK || jr.Status != "failed" || jr.ErrorKind != "timeout" {
+		t.Fatalf("1ns coordinator job: status %d job %q kind %q (%s)", code, jr.Status, jr.ErrorKind, jr.Error)
+	}
+	if got := c.timeouts.Load(); got != 1 {
+		t.Fatalf("timeouts = %d, want 1", got)
+	}
+	if h := getCoordHealth(t, cts.URL); h.NodesUp != 1 {
+		t.Fatalf("a job timeout took a healthy node down: nodes_up %d", h.NodesUp)
+	}
+
+	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
+	_, cts2 := newTestCoordinator(t, CoordinatorOptions{Workers: urls, LedgerPath: ledger})
+	for i := 0; i < 2; i++ {
+		if _, jr := httpJSON(t, "POST", cts2.URL+"/v1/runs?wait=1", runBody); jr.Status != "done" || jr.Cached != (i == 1) {
+			t.Fatalf("run %d: status %q cached=%v (%s)", i, jr.Status, jr.Cached, jr.Error)
+		}
+	}
+	recs, err := qor.Read(ledger)
+	if err != nil {
+		t.Fatalf("read ledger: %v", err)
+	}
+	if len(recs) != 1 || recs[0].Key != runKey(t) {
+		t.Fatalf("coordinator ledger has %d records (%+v), want the one computed run", len(recs), recs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -12,178 +13,123 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vpga/internal/cells"
 	"vpga/internal/core"
-	"vpga/internal/obs"
 )
 
-// Coordinator is vpgad's cluster mode: the same public API as a worker
-// Server, served by scattering work over N worker nodes instead of a
-// local pool. Single runs ship whole to the ring owner of their cache
-// key; matrices and granularity sweeps split into per-cell tickets —
-// each cell is a pure function of its canonical FlowRequest (see
-// core.MatrixPlan / core.SweepPlan), so the merged result is
-// byte-identical to a single node's. Tickets queue per home node with
-// work stealing; a dead node's queued and in-flight tickets re-shard
-// onto the survivors. POST /v1/batch adds job priorities and
-// per-tenant fairness so a bulk sweep cannot starve interactive runs.
+// Coordinator is vpgad's cluster mode: the job engine of a worker
+// Server, with an executor that scatters work over N worker nodes
+// instead of a local pool. Single runs and routing sweeps ship whole
+// to the ring owner of their cache key; matrices and granularity
+// sweeps split into per-cell tickets — each cell is a pure function of
+// its canonical FlowRequest (see core.MatrixPlan / core.SweepPlan), so
+// the merged result is byte-identical to a single node's. Tickets
+// queue per home node with work stealing; a dead node's queued and
+// in-flight tickets re-shard onto the survivors. POST /v1/batch adds
+// job priorities and per-tenant fairness so a bulk sweep cannot starve
+// interactive runs. The coordinator caches only what it merges; with
+// DataDir set it journals accepted jobs and replays them after a crash.
 type Coordinator struct {
-	opts  CoordinatorOptions
-	mux   *http.ServeMux
-	ring  *ring
-	nodes map[string]*nodeClient
-	order []string // node bases in Options order, for stable rollups
-	sched *scheduler
-	cache *lru // composite (merged) results; cells live in worker caches
-	log   *slog.Logger
+	*engine
+	opts    CoordinatorOptions
+	ring    *ring
+	nodes   map[string]*nodeClient
+	order   []string // node bases in Options order, for stable rollups
+	sched   *scheduler
+	runners sync.WaitGroup // ticket runners and the health loop
 
-	baseCtx context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-
-	mu        sync.Mutex
-	jobs      map[string]*cjob
-	doneOrder []string
-
-	nextID atomic.Int64
-	start  time.Time
-
-	reqTotal, completed, failed atomic.Int64
-	timeouts                    atomic.Int64
-	cacheHits, cacheMisses      atomic.Int64
-	tickets, ticketRetries      atomic.Int64
-	peerHits, peerMisses        atomic.Int64
-	workerCacheHits             atomic.Int64
-	steals, reshards            atomic.Int64
-	batches                     atomic.Int64
+	tickets, ticketRetries atomic.Int64
+	workerCacheHits        atomic.Int64
+	steals, reshards       atomic.Int64
+	batches                atomic.Int64
 }
 
 // CoordinatorOptions configures a Coordinator.
 type CoordinatorOptions struct {
 	// Workers are the worker nodes' base URLs (required, >= 1).
 	Workers []string
-	// VNodes is the consistent-hash virtual-node count per worker
-	// (0 = 64).
-	VNodes int
 	// NodeConcurrency is the number of tickets in flight per worker
 	// node (0 = 4) — roughly the worker's own pool size.
 	NodeConcurrency int
-	// HealthInterval paces the node health probes (0 = 2s, < 0 = off).
-	HealthInterval time.Duration
 	// CacheSize bounds the merged-composite result cache (0 = 256).
 	CacheSize int
 	// JobsKeep bounds retained completed-job records (0 = 64).
 	JobsKeep int
+	// JobTimeout bounds each job's wall time (0 = none); an expired
+	// job's outstanding tickets are abandoned.
+	JobTimeout time.Duration
+	// LedgerPath, when set, appends the QoR records of every computed
+	// run and matrix result to the JSONL run ledger at that path.
+	LedgerPath string
+	// DataDir, when set, journals accepted jobs (DataDir/journal.wal) —
+	// a restarted coordinator replays them under their original IDs,
+	// batch priority and tenant included — and persists merged results
+	// in an artifact store (DataDir/artifacts).
+	DataDir string
 	// Logger receives the coordinator's structured log lines (job
 	// lifecycle, node liveness, steals, reshards), with job_id /
 	// trace_id / tenant attrs. Nil logs nothing.
 	Logger *slog.Logger
-}
 
-func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
-	if o.NodeConcurrency <= 0 {
-		o.NodeConcurrency = 4
-	}
-	if o.HealthInterval == 0 {
-		o.HealthInterval = 2 * time.Second
-	}
-	if o.CacheSize <= 0 {
-		o.CacheSize = 256
-	}
-	if o.JobsKeep <= 0 {
-		o.JobsKeep = 64
-	}
-	return o
+	// healthInterval paces the node health probes (0 = 2s, < 0 = off);
+	// tests turn probing off to flip liveness through traffic alone.
+	healthInterval time.Duration
 }
 
 // NewCoordinator starts a coordinator over the worker fleet; stop it
 // with Shutdown.
 func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
-	opts = opts.withDefaults()
 	if len(opts.Workers) == 0 {
 		return nil, errors.New("coordinator needs at least one worker node")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	log := opts.Logger
-	if log == nil {
-		log = obs.NopLogger()
+	if opts.NodeConcurrency <= 0 {
+		opts.NodeConcurrency = 4
 	}
-	c := &Coordinator{
-		opts:    opts,
-		mux:     http.NewServeMux(),
-		nodes:   make(map[string]*nodeClient, len(opts.Workers)),
-		cache:   newLRU(opts.CacheSize),
-		log:     log,
-		jobs:    make(map[string]*cjob),
-		baseCtx: ctx,
-		cancel:  cancel,
-		start:   time.Now(),
+	if opts.healthInterval == 0 {
+		opts.healthInterval = 2 * time.Second
 	}
+	c := &Coordinator{opts: opts, nodes: make(map[string]*nodeClient, len(opts.Workers))}
 	for _, w := range opts.Workers {
 		n := newNodeClient(w)
 		if _, dup := c.nodes[n.base]; dup {
-			cancel()
 			return nil, fmt.Errorf("duplicate worker node %q", n.base)
 		}
 		c.nodes[n.base] = n
 		c.order = append(c.order, n.base)
 	}
-	c.ring = newRing(c.order, opts.VNodes)
+	c.ring = newRing(c.order)
 	c.sched = newScheduler(opts.NodeConcurrency)
-
-	c.mux.HandleFunc("POST /v1/runs", c.handleRun)
-	c.mux.HandleFunc("POST /v1/matrix", c.handleMatrix)
-	c.mux.HandleFunc("POST /v1/sweeps/granularity", c.handleGranularitySweep)
-	c.mux.HandleFunc("POST /v1/sweeps/routing", c.handleRoutingSweep)
-	c.mux.HandleFunc("POST /v1/batch", c.handleBatch)
-	c.mux.HandleFunc("GET /v1/runs/{id}", c.handleStatus)
-	c.mux.HandleFunc("GET /v1/runs/{id}/trace", c.handleJobTrace)
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleStatus)
-	c.mux.HandleFunc("GET /v1/jobs/{id}/trace", c.handleJobTrace)
-	c.mux.HandleFunc("GET /v1/cluster/status", c.handleClusterStatus)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-
+	e, pending, err := newEngine(Options{
+		CacheSize: opts.CacheSize, JobsKeep: opts.JobsKeep, JobTimeout: opts.JobTimeout,
+		LedgerPath: opts.LedgerPath, DataDir: opts.DataDir, Logger: opts.Logger,
+	}, "c", c)
+	if err != nil {
+		return nil, err
+	}
+	c.engine = e
+	e.mux.HandleFunc("POST /v1/batch", c.handleBatch)
+	e.mux.HandleFunc("GET /v1/cluster/status", c.handleClusterStatus)
 	for _, base := range c.order {
-		n := c.nodes[base]
 		for i := 0; i < opts.NodeConcurrency; i++ {
-			c.wg.Add(1)
-			go c.runner(n)
+			c.runners.Add(1)
+			go c.runner(c.nodes[base])
 		}
 	}
-	if opts.HealthInterval > 0 {
-		c.wg.Add(1)
+	if opts.healthInterval > 0 {
+		c.runners.Add(1)
 		go c.healthLoop()
 	}
+	e.launchAll(pending)
 	return c, nil
 }
 
-// ServeHTTP implements http.Handler. Every request gets an
-// X-Request-ID (echoed from the client or minted) before dispatch, so
-// error envelopes and log lines are correlatable with client retries.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.reqTotal.Add(1)
-	rid := ensureRequestID(w, r)
-	c.log.Debug("http request", "method", r.Method, "path", r.URL.Path, "request_id", rid)
-	c.mux.ServeHTTP(w, r)
-}
-
-// Shutdown stops the coordinator: queued tickets fail fast, in-flight
-// worker requests are cancelled, and the runner pool drains.
+// Shutdown drains the coordinator's jobs — their tickets keep flowing
+// until the jobs finish or ctx expires — then fails whatever tickets
+// are still queued and stops the runners.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.cancel()
+	err := c.engine.Shutdown(ctx)
 	c.sched.close()
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	c.runners.Wait()
+	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -194,10 +140,10 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 // worker endpoint, plus the scheduling coordinates (home node from the
 // ring, priority and tenant from the originating job).
 type ticket struct {
+	ctx      context.Context // the owning job's: cancelled with it
 	seq      int64
 	priority int
 	tenant   string
-	kind     string
 	name     string // display label on the merged trace ("alu/lut-plb/flow b")
 	path     string // worker endpoint ("/v1/runs", "/v1/sweeps/routing")
 	key      string // content address; routes the ticket on the ring
@@ -414,7 +360,7 @@ func (sc *scheduler) inflight(node string) int {
 
 // runner is one ticket-execution lane against one worker node.
 func (c *Coordinator) runner(n *nodeClient) {
-	defer c.wg.Done()
+	defer c.runners.Done()
 	for {
 		t, stolen := c.sched.next(n.base, n.down.Load)
 		if t == nil {
@@ -426,7 +372,7 @@ func (c *Coordinator) runner(n *nodeClient) {
 			t.trace.instant("steal", map[string]any{"ticket": t.name, "to": n.base, "from": t.home})
 			c.log.Debug("ticket stolen", "ticket_id", t.name, "from", t.home, "to", n.base, "trace_id", t.traceID)
 		}
-		c.execute(n, t)
+		c.dispatch(n, t)
 		c.sched.release(n.base)
 	}
 }
@@ -455,12 +401,12 @@ const (
 	maxBackpressureWait  = 5 * time.Minute
 )
 
-// execute ships one ticket to the node and classifies the outcome. A
+// dispatch ships one ticket to the node and classifies the outcome. A
 // transport failure presumes the node dead: it is marked down (its
 // queue re-shards onto the survivors) and the in-flight ticket is
 // resubmitted to its new ring owner — the recompute is safe because
 // every ticket is a pure, deterministic function of its body.
-func (c *Coordinator) execute(n *nodeClient, t *ticket) {
+func (c *Coordinator) dispatch(n *nodeClient, t *ticket) {
 	n.dispatched.Add(1)
 	dispatchAt := t.trace.since()
 	// record stamps the attempt's window onto the job trace (no-op on
@@ -473,13 +419,13 @@ func (c *Coordinator) execute(n *nodeClient, t *ticket) {
 			cached: cached, stolen: t.stolen, attempts: t.attempts, err: errMsg,
 		})
 	}
-	env, status, err := n.post(c.baseCtx, t.path+"?wait=1", t.body, t.traceHeaderValue())
+	env, status, err := n.post(t.ctx, t.path+"?wait=1", t.body, t.traceHeaderValue())
 	if err != nil {
-		n.errs.Add(1)
-		if c.baseCtx.Err() != nil {
-			t.deliver(ticketOutcome{err: err})
+		if t.ctx.Err() != nil {
+			t.deliver(ticketOutcome{err: err}) // the job ended; the node is not at fault
 			return
 		}
+		n.errs.Add(1)
 		record("", false, err.Error())
 		c.markDown(n)
 		c.resubmit(t, err)
@@ -524,11 +470,6 @@ func (c *Coordinator) execute(n *nodeClient, t *ticket) {
 			record(workerJob, false, "attempt ended before a terminal status")
 			return // resubmitted (or delivered a poll failure)
 		}
-		if env.ErrorKind == "timeout" {
-			// Satellite of isTimeout: a timeout on a remote worker still
-			// counts on the coordinator's vpgad_jobs_timeout_total.
-			c.timeouts.Add(1)
-		}
 		if env.Cached {
 			c.workerCacheHits.Add(1)
 		}
@@ -550,28 +491,25 @@ func (c *Coordinator) execute(n *nodeClient, t *ticket) {
 func (c *Coordinator) awaitTerminal(n *nodeClient, t *ticket, env *rawEnvelope) *rawEnvelope {
 	for env.Status == "queued" || env.Status == "running" {
 		select {
-		case <-c.baseCtx.Done():
-			t.deliver(ticketOutcome{err: c.baseCtx.Err()})
+		case <-t.ctx.Done():
+			t.deliver(ticketOutcome{err: t.ctx.Err()})
 			return nil
 		case <-time.After(50 * time.Millisecond):
 		}
-		req, err := http.NewRequestWithContext(c.baseCtx, http.MethodGet, n.base+"/v1/runs/"+env.ID, nil)
-		if err != nil {
-			t.deliver(ticketOutcome{err: err})
+		raw, status, err := n.get(t.ctx, "/v1/runs/"+env.ID)
+		switch {
+		case err != nil && t.ctx.Err() != nil:
+			t.deliver(ticketOutcome{err: t.ctx.Err()})
 			return nil
-		}
-		resp, err := n.hc.Do(req)
-		if err != nil {
+		case err != nil:
 			n.errs.Add(1)
 			c.markDown(n)
 			c.resubmit(t, err)
 			return nil
 		}
 		var next rawEnvelope
-		err = json.NewDecoder(resp.Body).Decode(&next)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.deliver(ticketOutcome{err: fmt.Errorf("polling %s on %s: HTTP %d, %v", env.ID, n.base, resp.StatusCode, err)})
+		if err := json.Unmarshal(raw, &next); err != nil || status != http.StatusOK {
+			t.deliver(ticketOutcome{err: fmt.Errorf("polling %s on %s: HTTP %d, %v", env.ID, n.base, status, err)})
 			return nil
 		}
 		env = &next
@@ -586,7 +524,7 @@ func (c *Coordinator) resubmit(t *ticket, cause error) {
 		t.deliver(ticketOutcome{err: fmt.Errorf("ticket failed after %d attempts: %w", t.attempts, cause)})
 		return
 	}
-	home := c.ring.owner(t.routeKey())
+	home := c.ring.owner(t.key)
 	if home == "" {
 		t.deliver(ticketOutcome{err: fmt.Errorf("no live worker nodes: %w", cause)})
 		return
@@ -601,15 +539,6 @@ func (c *Coordinator) resubmit(t *ticket, cause error) {
 	}
 }
 
-// routeKey is what places the ticket on the ring: its content address,
-// or the body itself for the (never expected) uncacheable case.
-func (t *ticket) routeKey() string {
-	if t.key != "" {
-		return t.key
-	}
-	return string(t.body)
-}
-
 // markDown takes a node out of the ring and re-shards its queued
 // tickets onto the survivors. Idempotent; the health loop brings the
 // node back when it answers again.
@@ -619,7 +548,7 @@ func (c *Coordinator) markDown(n *nodeClient) {
 	}
 	c.ring.setLive(n.base, false)
 	moved := c.sched.requeue(n.base, func(t *ticket) string {
-		home := c.ring.owner(t.routeKey())
+		home := c.ring.owner(t.key)
 		if home != "" {
 			t.trace.instant("reshard", map[string]any{"ticket": t.name, "from": n.base, "to": home})
 		}
@@ -641,8 +570,8 @@ func (c *Coordinator) markUp(n *nodeClient) {
 // healthLoop probes every node and flips ring membership as nodes die
 // and come back.
 func (c *Coordinator) healthLoop() {
-	defer c.wg.Done()
-	tick := time.NewTicker(c.opts.HealthInterval)
+	defer c.runners.Done()
+	tick := time.NewTicker(c.opts.healthInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -652,7 +581,7 @@ func (c *Coordinator) healthLoop() {
 		}
 		for _, base := range c.order {
 			n := c.nodes[base]
-			ctx, cancel := context.WithTimeout(c.baseCtx, c.opts.HealthInterval)
+			ctx, cancel := context.WithTimeout(c.baseCtx, c.opts.healthInterval)
 			ok := n.healthy(ctx)
 			cancel()
 			if ok {
@@ -664,43 +593,32 @@ func (c *Coordinator) healthLoop() {
 	}
 }
 
-// runTicket is the blocking ticket helper composite jobs use: peer
-// cache lookup on the key's owner first — a result the cluster already
-// computed is fetched, not recomputed — then enqueue and wait. The
-// owning job supplies the scheduling coordinates (priority, tenant)
-// and the trace context; name labels the ticket on the merged
-// timeline.
-func (c *Coordinator) runTicket(j *cjob, name, kind, path string, body any, key string) (*rawEnvelope, error) {
-	enc, err := json.Marshal(body)
-	if err != nil {
-		return nil, err
-	}
+// runTicket is the blocking ticket helper the coordinator's jobs use:
+// peer cache lookup on the key's owner first — a result the cluster
+// already computed is fetched, not recomputed — then enqueue and wait.
+// The owning job supplies the scheduling coordinates (priority,
+// tenant) and the trace context; name labels the ticket on the merged
+// timeline, and k's route is where the ticket goes.
+func (c *Coordinator) runTicket(ctx context.Context, j *job, name string, k *kind, body []byte, key string) (*rawEnvelope, error) {
 	c.tickets.Add(1)
-	if key != "" {
-		if owner := c.ring.owner(key); owner != "" {
-			if n := c.nodes[owner]; n != nil && !n.down.Load() {
-				start := j.trace.since()
-				ctx, cancel := context.WithTimeout(c.baseCtx, 5*time.Second)
-				raw, ok := n.cacheGet(ctx, key)
-				cancel()
-				if ok {
-					c.peerHits.Add(1)
-					j.trace.ticket(ticketRecord{
-						name: name, node: owner, start: start, end: j.trace.since(), cached: true,
-					})
-					return &rawEnvelope{Kind: kind, Status: "done", Cached: true, Key: key, Result: raw}, nil
-				}
-			}
+	if owner := c.ring.owner(key); owner != "" && !c.nodes[owner].down.Load() {
+		start := j.trace.since()
+		lctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		raw, ok := c.nodes[owner].cacheGet(lctx, key)
+		cancel()
+		if ok {
+			c.peerHits.Add(1)
+			j.trace.ticket(ticketRecord{name: name, node: owner, start: start, end: j.trace.since(), cached: true})
+			return &rawEnvelope{Status: "done", Cached: true, Result: raw}, nil
 		}
-		c.peerMisses.Add(1)
 	}
+	c.peerMisses.Add(1)
 	t := &ticket{
-		priority: j.priority, tenant: j.tenant, kind: kind, name: name, path: path,
-		key: key, body: enc, traceID: j.traceID, trace: j.trace,
+		ctx: ctx, priority: j.priority, tenant: j.tenant, name: name, path: k.path,
+		key: key, body: body, traceID: j.traceID, trace: j.trace,
 		res: make(chan ticketOutcome, 1),
 	}
-	t.home = c.ring.owner(t.routeKey())
-	if t.home == "" {
+	if t.home = c.ring.owner(key); t.home == "" {
 		return nil, errors.New("no live worker nodes")
 	}
 	if !c.sched.enqueue(t) {
@@ -709,261 +627,74 @@ func (c *Coordinator) runTicket(j *cjob, name, kind, path string, body any, key 
 	select {
 	case out := <-t.res:
 		return out.env, out.err
-	case <-c.baseCtx.Done():
-		return nil, c.baseCtx.Err()
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator jobs (client-visible composites).
+// The coordinator's executor.
 
-// cjob is one client-visible coordinator job: a forwarded run or a
-// split composite, tracked under a coordinator-scoped ID.
-type cjob struct {
-	id       string
-	kind     string
-	key      string
-	priority int
-	tenant   string
-	created  time.Time
-	done     chan struct{}
-
-	// Distributed trace: the coordinator-minted trace ID every ticket
-	// of this job carries, and the recorder behind GET
-	// /v1/jobs/{id}/trace.
-	traceID string
-	trace   *jobTrace
-
-	mu      sync.Mutex
-	status  string
-	cached  bool
-	result  any
-	errMsg  string
-	stage   string
-	errKind string
+// caches: the coordinator keeps only what it merges. A forwarded run
+// or routing sweep resolves from the workers' caches.
+func (c *Coordinator) caches(r jobRequest) bool {
+	_, ok := r.(composite)
+	return ok
 }
 
-func (j *cjob) response() jobResponse {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return jobResponse{
-		ID: j.id, Kind: j.kind, Status: j.status, Cached: j.cached, Key: j.key,
-		Result: j.result, Error: j.errMsg, Stage: j.stage, ErrorKind: j.errKind,
-		TraceID: j.traceID,
+// prepare mints the job's distributed trace — the ID every ticket of
+// the job carries, unless the submission brought one — and the
+// recorder behind GET /v1/jobs/{id}/trace.
+func (c *Coordinator) prepare(j *job) {
+	if j.traceID == "" {
+		j.traceID = newTraceID()
 	}
+	j.trace = newJobTrace(j.traceID)
 }
 
-func (j *cjob) finish(result any, cached bool) {
-	j.mu.Lock()
-	j.status = "done"
-	j.result = result
-	j.cached = cached
-	j.mu.Unlock()
-	close(j.done)
-}
-
-func (j *cjob) fail(msg, stage, errKind string) {
-	j.mu.Lock()
-	j.status = "failed"
-	j.errMsg = msg
-	j.stage = stage
-	j.errKind = errKind
-	j.mu.Unlock()
-	close(j.done)
-}
-
-// startJob registers a cjob — minting its distributed trace ID and
-// recorder — and runs its composite on a goroutine.
-func (c *Coordinator) startJob(kind, key string, priority int, tenant string, run func(j *cjob)) *cjob {
-	traceID := newTraceID()
-	j := &cjob{
-		id: fmt.Sprintf("c%06d", c.nextID.Add(1)), kind: kind, key: key,
-		priority: priority, tenant: tenant, created: time.Now(),
-		traceID: traceID, trace: newJobTrace(traceID),
-		done: make(chan struct{}), status: "queued",
+// execute fans a composite out as per-cell tickets and forwards any
+// other job whole to the ring owner of its key, whose envelope —
+// result bytes, cached flag, failure — becomes the job's.
+func (c *Coordinator) execute(ctx context.Context, j *job) (any, bool, error) {
+	defer j.trace.span("job "+j.kind.name, map[string]any{"job_id": j.id})()
+	if comp, ok := j.req.(composite); ok {
+		res, err := comp.fanOut(ctx, c.cellTickets(ctx, j), j.trace)
+		return res, false, err
 	}
-	c.mu.Lock()
-	c.jobs[j.id] = j
-	c.mu.Unlock()
-	c.log.Info("job accepted", "job_id", j.id, "kind", kind, "trace_id", traceID,
-		"tenant", tenant, "priority", priority)
-	go func() {
-		j.mu.Lock()
-		j.status = "running"
-		j.mu.Unlock()
-		endJob := j.trace.span("job "+kind, map[string]any{"job_id": j.id})
-		run(j)
-		endJob()
-		j.mu.Lock()
-		failed := j.status == "failed"
-		errMsg := j.errMsg
-		j.mu.Unlock()
-		if failed {
-			c.failed.Add(1)
-			c.log.Warn("job failed", "job_id", j.id, "kind", kind, "trace_id", traceID,
-				"error", errMsg, "duration", time.Since(j.created))
-		} else {
-			c.completed.Add(1)
-			c.log.Info("job done", "job_id", j.id, "kind", kind, "trace_id", traceID,
-				"duration", time.Since(j.created))
+	env, err := c.runTicket(ctx, j, j.label, j.kind, j.body, j.key)
+	switch {
+	case err != nil:
+		return nil, false, err
+	case env.Status == "failed":
+		return nil, false, &remoteError{msg: env.Error, stage: env.Stage, kind: env.ErrorKind}
+	}
+	return env.Result, env.Cached, nil
+}
+
+// ticketFunc runs one composite cell — its canonical request under a
+// ticket label — and returns the cell's report.
+type ticketFunc func(req core.FlowRequest, label string) (*core.Report, error)
+
+// cells adapts a ticket function to the core executor: ticket builds a
+// cell's request and label, and each cell is a ticket of its own, so a
+// composite's dependent cells go out at once — workers keep no stage
+// tier a chain of cells could share.
+func (run ticketFunc) cells(ticket func(core.Cell) (core.FlowRequest, string)) core.CellRunner {
+	cell := func(c core.Cell) (*core.Report, error) { return run(ticket(c)) }
+	return core.CellRunner{Lane: func(body func(core.CellFunc)) { body(cell) }}
+}
+
+// cellTickets runs each cell as a run ticket. A failed ticket comes
+// back as the *core.FlowError the worker rendered, at the coordinates
+// its request resolves to, so it is ledgered exactly as a single node
+// ledgers it.
+func (c *Coordinator) cellTickets(ctx context.Context, j *job) ticketFunc {
+	return func(req core.FlowRequest, label string) (*core.Report, error) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			return nil, err
 		}
-		c.retireJob(j)
-	}()
-	return j
-}
-
-func (c *Coordinator) retireJob(j *cjob) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.doneOrder = append(c.doneOrder, j.id)
-	for len(c.doneOrder) > c.opts.JobsKeep {
-		old := c.doneOrder[0]
-		c.doneOrder = c.doneOrder[1:]
-		delete(c.jobs, old)
-	}
-}
-
-// finishFromEnvelope resolves a forwarded job from a worker envelope.
-func (j *cjob) finishFromEnvelope(env *rawEnvelope, err error) {
-	if err != nil {
-		j.fail(err.Error(), "", "")
-		return
-	}
-	if env.Status == "failed" {
-		j.fail(env.Error, env.Stage, env.ErrorKind)
-		return
-	}
-	j.finish(env.Result, env.Cached)
-}
-
-// respondCJob mirrors respondJob for coordinator jobs (?wait=1 blocks).
-func respondCJob(w http.ResponseWriter, r *http.Request, j *cjob) {
-	if wantWait(r) {
-		select {
-		case <-j.done:
-		case <-r.Context().Done():
-		}
-	}
-	resp := j.response()
-	status := http.StatusAccepted
-	if resp.Status == "done" || resp.Status == "failed" {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, resp)
-}
-
-// ---------------------------------------------------------------------------
-// Submission endpoints.
-
-// handleRun forwards one flow run to the ring owner of its key.
-func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req core.FlowRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	c.submitRun(w, r, req, 0, "")
-}
-
-func (c *Coordinator) submitRun(w http.ResponseWriter, r *http.Request, req core.FlowRequest, priority int, tenant string) *cjob {
-	key, err := req.CacheKey()
-	if err != nil {
-		if w != nil {
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return nil
-	}
-	j := c.startJob("run", key, priority, tenant, func(j *cjob) {
-		env, err := c.runTicket(j, req.TicketLabel(), "run", "/v1/runs", req, key)
-		j.finishFromEnvelope(env, err)
-	})
-	if w != nil {
-		respondCJob(w, r, j)
-	}
-	return j
-}
-
-// handleMatrix splits the matrix into per-cell tickets and merges a
-// byte-identical MatrixResult.
-func (c *Coordinator) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	var req MatrixRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	c.submitMatrix(w, r, req, 0, "")
-}
-
-func (c *Coordinator) submitMatrix(w http.ResponseWriter, r *http.Request, req MatrixRequest, priority int, tenant string) *cjob {
-	if err := req.validate(); err != nil {
-		if w != nil {
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return nil
-	}
-	key, err := req.cacheKey()
-	if err != nil {
-		if w != nil {
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return nil
-	}
-	if v, ok := c.cache.get(key); ok {
-		c.cacheHits.Add(1)
-		j := c.startJob("matrix", key, priority, tenant, func(j *cjob) { j.finish(v, true) })
-		if w != nil {
-			respondCJob(w, r, j)
-		}
-		return j
-	}
-	c.cacheMisses.Add(1)
-	j := c.startJob("matrix", key, priority, tenant, func(j *cjob) { c.runMatrixJob(j, req) })
-	if w != nil {
-		respondCJob(w, r, j)
-	}
-	return j
-}
-
-// runMatrixJob executes a matrix through core.ExecuteMatrix with a
-// ticket runner — per design the clock-pinning cell first, then its
-// three dependents at once, pinned to the derived clock — so pinning,
-// the ledger, the returned error and the merged MatrixResult are the
-// ones a single node computes.
-func (c *Coordinator) runMatrixJob(j *cjob, req MatrixRequest) {
-	n := req.normalize()
-	designs := req.suite().All()
-	designReqs := core.MatrixDesignNames()
-	plan := core.MatrixPlan{
-		Scale: n.Scale, Seed: n.Seed, PlaceEffort: n.PlaceEffort,
-		DefectRate: n.DefectRate, DefectSeed: n.DefectSeed, RepairBudget: n.RepairBudget,
-	}
-	tickets := c.cellRunner(j, func(cell core.Cell) (core.FlowRequest, string) {
-		return plan.Ticket(designReqs[cell.Design], cell), core.MatrixCellLabel(designs[cell.Design].Name, cell)
-	})
-	m, err := core.ExecuteMatrix(c.baseCtx, designs, tickets, n.ContinueOnError, nil)
-	endMerge := j.trace.span("merge", map[string]any{"cells": len(designs) * 4})
-	defer endMerge()
-	if err != nil {
-		j.fail(failure(err))
-		return
-	}
-	res := matrixResult(m)
-	if len(res.Errors) == 0 {
-		c.cache.put(j.key, res)
-	}
-	j.finish(res, false)
-}
-
-// cellRunner is the coordinator's core.CellRunner: each cell is a
-// ticket of its own, so a composite's dependent cells go out at once —
-// workers keep no stage tier a chain of cells could share. ticket
-// builds a cell's request and label. A failed ticket comes back as the
-// *core.FlowError the worker rendered, at the coordinates its request
-// resolves to, so it is ledgered exactly as a single node ledgers it.
-func (c *Coordinator) cellRunner(j *cjob, ticket func(core.Cell) (core.FlowRequest, string)) core.CellRunner {
-	run := func(cell core.Cell) (*core.Report, error) {
-		req, label := ticket(cell)
-		env, err := c.runTicket(j, label, "run", "/v1/runs", req, mustKey(req))
+		env, err := c.runTicket(ctx, j, label, runKind, body, mustKey(req))
 		switch {
 		case err != nil:
 			return nil, err
@@ -980,7 +711,6 @@ func (c *Coordinator) cellRunner(j *cjob, ticket func(core.Cell) (core.FlowReque
 		}
 		return rep, nil
 	}
-	return core.CellRunner{Lane: func(body func(core.CellFunc)) { body(run) }}
 }
 
 // mustKey content-addresses an already-normalized cell request; cells
@@ -993,119 +723,14 @@ func mustKey(req core.FlowRequest) string {
 	return key
 }
 
-// handleGranularitySweep splits the sweep into per-architecture
-// tickets (first arch pins the clock) and merges the points.
-func (c *Coordinator) handleGranularitySweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	c.submitGranularitySweep(w, r, req, 0, "")
-}
-
-func (c *Coordinator) submitGranularitySweep(w http.ResponseWriter, r *http.Request, req SweepRequest, priority int, tenant string) *cjob {
-	bad := func(err error) *cjob {
-		if w != nil {
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return nil
-	}
-	if _, err := req.resolveDesign(); err != nil {
-		return bad(err)
-	}
-	n := req.normalize()
-	specs := n.Archs
-	if len(specs) == 0 {
-		specs = core.DefaultSweepArchSpecs()
-	}
-	archs := make([]*cells.PLBArch, len(specs))
-	for i, spec := range specs {
-		arch, err := spec.Resolve()
-		if err != nil {
-			return bad(err)
-		}
-		archs[i] = arch
-	}
-	key, err := req.cacheKey("sweep/granularity")
-	if err != nil {
-		return bad(err)
-	}
-	if v, ok := c.cache.get(key); ok {
-		c.cacheHits.Add(1)
-		j := c.startJob("sweep/granularity", key, priority, tenant, func(j *cjob) { j.finish(v, true) })
-		if w != nil {
-			respondCJob(w, r, j)
-		}
-		return j
-	}
-	c.cacheMisses.Add(1)
-	plan := core.SweepPlan{
-		Design: n.Design, Scale: n.Scale, RTL: n.RTL, Name: n.Name,
-		Seed: n.Seed, Archs: specs,
-	}
-	j := c.startJob("sweep/granularity", key, priority, tenant, func(j *cjob) { c.runSweepJob(j, plan, archs) })
-	if w != nil {
-		respondCJob(w, r, j)
-	}
-	return j
-}
-
-// runSweepJob executes a granularity sweep through core.ExecuteSweep
-// with a ticket runner — the first architecture pins the clock, the
-// rest run pinned at once — so the points and the failure match
-// RunGranularitySweep's.
-func (c *Coordinator) runSweepJob(j *cjob, plan core.SweepPlan, archs []*cells.PLBArch) {
-	tickets := c.cellRunner(j, func(cell core.Cell) (core.FlowRequest, string) {
-		return plan.Ticket(cell), plan.TicketLabel(cell.Arch)
-	})
-	reps, err := core.ExecuteSweep(archs, tickets)
-	if err != nil {
-		j.fail(failure(err))
-		return
-	}
-	pts := make([]core.SweepPoint, len(reps))
-	for i, rep := range reps {
-		pts[i] = core.SweepPointFrom(archs[i], rep)
-	}
-	c.cache.put(j.key, pts)
-	j.finish(pts, false)
-}
-
-// handleRoutingSweep forwards the sweep whole: its capacity points
-// share one placement, so it is not splittable into pure tickets.
-func (c *Coordinator) handleRoutingSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	c.submitRoutingSweep(w, r, req, 0, "")
-}
-
-func (c *Coordinator) submitRoutingSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, priority int, tenant string) *cjob {
-	if _, err := req.resolveDesign(); err != nil {
-		if w != nil {
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return nil
-	}
-	key, err := req.cacheKey("sweep/routing")
-	if err != nil {
-		if w != nil {
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return nil
-	}
-	j := c.startJob("sweep/routing", key, priority, tenant, func(j *cjob) {
-		name := "sweep/routing/" + req.normalize().Design + req.normalize().Name
-		env, err := c.runTicket(j, name, "sweep/routing", "/v1/sweeps/routing", req, key)
-		j.finishFromEnvelope(env, err)
-	})
-	if w != nil {
-		respondCJob(w, r, j)
-	}
-	return j
+// writeTrace serves GET /v1/jobs/{id}/trace: the job's merged
+// cluster-wide Chrome trace — coordinator control spans plus every
+// worker node's tickets with their per-stage fragments fetched back
+// from the workers that still answer.
+func (c *Coordinator) writeTrace(w http.ResponseWriter, r *http.Request, j *job) {
+	events := c.mergedTrace(r.Context(), j)
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(events)
 }
 
 // ---------------------------------------------------------------------------
@@ -1117,7 +742,7 @@ func (c *Coordinator) submitRoutingSweep(w http.ResponseWriter, r *http.Request,
 // so a 10k-item sweep from one tenant cannot starve another tenant's
 // interactive runs.
 type batchItem struct {
-	Kind     string          `json:"kind"` // "run", "matrix", "sweep/granularity", "sweep/routing"
+	Kind     string          `json:"kind"` // a kind table name
 	Priority int             `json:"priority,omitempty"`
 	Tenant   string          `json:"tenant,omitempty"`
 	Request  json.RawMessage `json:"request"`
@@ -1131,11 +756,12 @@ type batchResponse struct {
 	Jobs []jobResponse `json:"jobs"`
 }
 
-// handleBatch validates every item, then launches them all (202). An
-// invalid item rejects the whole batch before any job starts.
+// handleBatch parses every item through the kind table, then admits
+// them all (202). An invalid item rejects the whole batch before any
+// job starts; each item answers as its own POST would.
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 4<<20), &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1143,95 +769,28 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("batch has no jobs"))
 		return
 	}
-	type launch func() *cjob
-	launches := make([]launch, 0, len(req.Jobs))
+	specs := make([]jobSpec, len(req.Jobs))
 	for i, item := range req.Jobs {
-		item := item
-		var (
-			err error
-			fn  launch
-		)
-		switch item.Kind {
-		case "run":
-			var rr core.FlowRequest
-			if err = json.Unmarshal(item.Request, &rr); err == nil {
-				if _, err = rr.CacheKey(); err == nil {
-					fn = func() *cjob { return c.submitRun(nil, nil, rr, item.Priority, item.Tenant) }
-				}
-			}
-		case "matrix":
-			var mr MatrixRequest
-			if err = json.Unmarshal(item.Request, &mr); err == nil {
-				if err = mr.validate(); err == nil {
-					fn = func() *cjob { return c.submitMatrix(nil, nil, mr, item.Priority, item.Tenant) }
-				}
-			}
-		case "sweep/granularity":
-			var sr SweepRequest
-			if err = json.Unmarshal(item.Request, &sr); err == nil {
-				if _, err = sr.resolveDesign(); err == nil {
-					fn = func() *cjob { return c.submitGranularitySweep(nil, nil, sr, item.Priority, item.Tenant) }
-				}
-			}
-		case "sweep/routing":
-			var sr SweepRequest
-			if err = json.Unmarshal(item.Request, &sr); err == nil {
-				if _, err = sr.resolveDesign(); err == nil {
-					fn = func() *cjob { return c.submitRoutingSweep(nil, nil, sr, item.Priority, item.Tenant) }
-				}
-			}
-		default:
-			err = fmt.Errorf("unknown job kind %q", item.Kind)
-		}
-		if err != nil {
+		var err error
+		if specs[i], err = parseSpec(item.Kind, item.Request); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("batch job %d: %w", i, err))
 			return
 		}
-		launches = append(launches, fn)
 	}
 	c.batches.Add(1)
-	resp := batchResponse{Jobs: make([]jobResponse, 0, len(launches))}
-	for i, fn := range launches {
-		j := fn()
-		if j == nil {
-			// Validation re-ran inside submit and failed; report the slot.
-			resp.Jobs = append(resp.Jobs, jobResponse{Status: "rejected",
-				Error: fmt.Sprintf("batch job %d failed validation", i)})
-			continue
+	resp := batchResponse{Jobs: make([]jobResponse, len(specs))}
+	for i, sp := range specs {
+		hit, j, _, err := c.admit(r.Context(), sp, "", req.Jobs[i].Priority, req.Jobs[i].Tenant)
+		switch {
+		case err != nil:
+			resp.Jobs[i] = jobResponse{Status: "rejected", Error: err.Error()}
+		case hit != nil:
+			resp.Jobs[i] = *hit
+		default:
+			resp.Jobs[i] = j.response()
 		}
-		resp.Jobs = append(resp.Jobs, j.response())
 	}
 	writeJSON(w, http.StatusAccepted, resp)
-}
-
-// handleStatus serves GET /v1/runs/{id} (and its /v1/jobs/{id} alias)
-// for coordinator jobs.
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	j, ok := c.jobs[r.PathValue("id")]
-	c.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown or evicted job id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.response())
-}
-
-// handleJobTrace serves GET /v1/jobs/{id}/trace: the job's merged
-// cluster-wide Chrome trace — coordinator control spans plus every
-// worker node's tickets with their per-stage fragments fetched back
-// from the workers that still answer.
-func (c *Coordinator) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	j, ok := c.jobs[r.PathValue("id")]
-	c.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown or evicted job id"))
-		return
-	}
-	events := c.mergedTrace(r.Context(), j)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(events)
 }
 
 // ---------------------------------------------------------------------------
@@ -1277,8 +836,9 @@ func stageRatios(stats core.StageCacheStats) map[string]stageCacheRatio {
 	return out
 }
 
-func (c *Coordinator) nodeStats() []clusterNodeStat {
-	stats := make([]clusterNodeStat, 0, len(c.order))
+// nodeStats snapshots every node's slice of the rollup and counts the
+// live ones.
+func (c *Coordinator) nodeStats() (stats []clusterNodeStat, up int) {
 	for _, base := range c.order {
 		n := c.nodes[base]
 		h := n.lastHealth()
@@ -1290,8 +850,11 @@ func (c *Coordinator) nodeStats() []clusterNodeStat {
 			Dispatched: n.dispatched.Load(), Errors: n.errs.Load(),
 			StageCache: stageRatios(h.StageCache),
 		})
+		if !n.down.Load() {
+			up++
+		}
 	}
-	return stats
+	return stats, up
 }
 
 // peerHitRatio is served-from-cache tickets over all resolved lookups.
@@ -1304,59 +867,14 @@ func (c *Coordinator) peerHitRatio() float64 {
 	return float64(hits) / float64(total)
 }
 
-// handleHealthz serves the cluster rollup.
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	nodes := c.nodeStats()
-	up := 0
-	for _, n := range nodes {
-		if n.Up {
-			up++
-		}
-	}
-	status, code := "ok", http.StatusOK
-	if up == 0 {
-		status, code = "degraded", http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, map[string]any{
-		"status":         status,
-		"role":           "coordinator",
-		"uptime_seconds": time.Since(c.start).Seconds(),
-		"nodes":          nodes,
-		"nodes_up":       up,
-		"cluster": map[string]any{
-			"tickets":           c.tickets.Load(),
-			"ticket_retries":    c.ticketRetries.Load(),
-			"steals":            c.steals.Load(),
-			"reshards":          c.reshards.Load(),
-			"peer_hits":         c.peerHits.Load(),
-			"peer_misses":       c.peerMisses.Load(),
-			"worker_cache_hits": c.workerCacheHits.Load(),
-			"peer_hit_ratio":    c.peerHitRatio(),
-		},
-	})
-}
-
-// handleClusterStatus serves GET /v1/cluster/status: the live
-// scheduling picture `vpgaflow cluster top` renders — per-node queue
-// depth, in-flight tickets, steal/reshard counters, and stage-cache
-// hit ratios — as one JSON snapshot.
-func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	nodes := c.nodeStats()
-	up := 0
-	for _, n := range nodes {
-		if n.Up {
-			up++
-		}
-	}
-	c.mu.Lock()
-	jobsTracked := len(c.jobs)
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"role":           "coordinator",
-		"uptime_seconds": time.Since(c.start).Seconds(),
-		"nodes":          nodes,
-		"nodes_up":       up,
-		"jobs_tracked":   jobsTracked,
+// rollup is the cluster picture /healthz and GET /v1/cluster/status
+// share; the fleet is up while any node is.
+func (c *Coordinator) rollup() (map[string]any, bool) {
+	nodes, up := c.nodeStats()
+	return map[string]any{
+		"role":     "coordinator",
+		"nodes":    nodes,
+		"nodes_up": up,
 		"cluster": map[string]any{
 			"tickets":           c.tickets.Load(),
 			"ticket_retries":    c.ticketRetries.Load(),
@@ -1369,25 +887,29 @@ func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, r *http.Request
 			"jobs_completed":    c.completed.Load(),
 			"jobs_failed":       c.failed.Load(),
 		},
-	})
+	}, up > 0
 }
 
-// handleMetrics serves the coordinator's Prometheus rollup: cluster
-// counters, the peer-hit ratio, and one labeled series per node.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+// handleClusterStatus serves GET /v1/cluster/status: the live
+// scheduling picture `vpgaflow cluster top` renders — per-node queue
+// depth, in-flight tickets, steal/reshard counters, and stage-cache
+// hit ratios — as one JSON snapshot.
+func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
+	status, _ := c.rollup()
+	c.mu.Lock()
+	status["jobs_tracked"] = len(c.jobs)
+	c.mu.Unlock()
+	status["uptime_seconds"] = time.Since(c.start).Seconds()
+	writeJSON(w, http.StatusOK, status)
+}
+
+// writeRollup appends the coordinator's Prometheus series to /metrics:
+// cluster counters, the peer-hit ratio, and one labeled series per
+// node.
+func (c *Coordinator) writeRollup(w io.Writer) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("vpgad_requests_total", "HTTP requests received", c.reqTotal.Load())
-	counter("vpgad_jobs_completed_total", "coordinator jobs that finished successfully", c.completed.Load())
-	counter("vpgad_jobs_failed_total", "coordinator jobs that finished in error", c.failed.Load())
-	counter("vpgad_jobs_timeout_total", "jobs that failed on a wall-clock budget, local or on a remote worker", c.timeouts.Load())
-	counter("vpgad_cache_hits_total", "composite results served from the coordinator cache", c.cacheHits.Load())
-	counter("vpgad_cache_misses_total", "composite submissions that required ticket execution", c.cacheMisses.Load())
 	counter("vpgad_batches_total", "batch submissions accepted", c.batches.Load())
 	counter("vpgad_cluster_tickets_total", "tickets resolved (peer cache or worker execution)", c.tickets.Load())
 	counter("vpgad_cluster_ticket_retries_total", "tickets re-queued on worker backpressure", c.ticketRetries.Load())
@@ -1396,41 +918,29 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("vpgad_cluster_peer_hits_total", "tickets served from a peer cache before scheduling", c.peerHits.Load())
 	counter("vpgad_cluster_peer_misses_total", "peer cache lookups that missed", c.peerMisses.Load())
 	counter("vpgad_cluster_worker_cache_hits_total", "tickets the executing worker served from its own cache", c.workerCacheHits.Load())
-	nodes := c.nodeStats()
-	up := 0
-	for _, n := range nodes {
-		if n.Up {
-			up++
-		}
-	}
-	gauge("vpgad_cluster_nodes", "worker nodes configured", int64(len(nodes)))
-	gauge("vpgad_cluster_nodes_up", "worker nodes currently live", int64(up))
+	nodes, up := c.nodeStats()
+	fmt.Fprintf(w, "# HELP vpgad_cluster_nodes worker nodes configured\n# TYPE vpgad_cluster_nodes gauge\nvpgad_cluster_nodes %d\n", len(nodes))
+	fmt.Fprintf(w, "# HELP vpgad_cluster_nodes_up worker nodes currently live\n# TYPE vpgad_cluster_nodes_up gauge\nvpgad_cluster_nodes_up %d\n", up)
 	fmt.Fprintf(w, "# HELP vpgad_cluster_peer_hit_ratio fraction of tickets served from peer or worker caches\n# TYPE vpgad_cluster_peer_hit_ratio gauge\nvpgad_cluster_peer_hit_ratio %s\n",
 		strconv.FormatFloat(c.peerHitRatio(), 'f', 6, 64))
-	fmt.Fprintf(w, "# HELP vpgad_cluster_node_up whether the node answers health probes\n# TYPE vpgad_cluster_node_up gauge\n")
-	for _, n := range nodes {
-		v := 0
-		if n.Up {
-			v = 1
+	perNode := func(name, typ, help string, v func(clusterNodeStat) int64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		for _, n := range nodes {
+			fmt.Fprintf(w, "%s{node=%q} %d\n", name, n.Node, v(n))
 		}
-		fmt.Fprintf(w, "vpgad_cluster_node_up{node=%q} %d\n", n.Node, v)
 	}
-	fmt.Fprintf(w, "# HELP vpgad_cluster_node_dispatched_total tickets dispatched to the node\n# TYPE vpgad_cluster_node_dispatched_total counter\n")
-	for _, n := range nodes {
-		fmt.Fprintf(w, "vpgad_cluster_node_dispatched_total{node=%q} %d\n", n.Node, n.Dispatched)
-	}
-	fmt.Fprintf(w, "# HELP vpgad_cluster_node_errors_total transport failures talking to the node\n# TYPE vpgad_cluster_node_errors_total counter\n")
-	for _, n := range nodes {
-		fmt.Fprintf(w, "vpgad_cluster_node_errors_total{node=%q} %d\n", n.Node, n.Errors)
-	}
-	fmt.Fprintf(w, "# HELP vpgad_cluster_node_queue_depth tickets queued for the node on the coordinator\n# TYPE vpgad_cluster_node_queue_depth gauge\n")
-	for _, n := range nodes {
-		fmt.Fprintf(w, "vpgad_cluster_node_queue_depth{node=%q} %d\n", n.Node, n.TicketQueueDepth)
-	}
-	fmt.Fprintf(w, "# HELP vpgad_cluster_node_inflight tickets currently executing on the node\n# TYPE vpgad_cluster_node_inflight gauge\n")
-	for _, n := range nodes {
-		fmt.Fprintf(w, "vpgad_cluster_node_inflight{node=%q} %d\n", n.Node, n.InFlightTickets)
-	}
-	fmt.Fprintf(w, "# HELP vpgad_uptime_seconds seconds since the coordinator started\n# TYPE vpgad_uptime_seconds gauge\nvpgad_uptime_seconds %s\n",
-		strconv.FormatFloat(time.Since(c.start).Seconds(), 'f', 3, 64))
+	perNode("vpgad_cluster_node_up", "gauge", "whether the node answers health probes", func(n clusterNodeStat) int64 {
+		if n.Up {
+			return 1
+		}
+		return 0
+	})
+	perNode("vpgad_cluster_node_dispatched_total", "counter", "tickets dispatched to the node",
+		func(n clusterNodeStat) int64 { return n.Dispatched })
+	perNode("vpgad_cluster_node_errors_total", "counter", "transport failures talking to the node",
+		func(n clusterNodeStat) int64 { return n.Errors })
+	perNode("vpgad_cluster_node_queue_depth", "gauge", "tickets queued for the node on the coordinator",
+		func(n clusterNodeStat) int64 { return int64(n.TicketQueueDepth) })
+	perNode("vpgad_cluster_node_inflight", "gauge", "tickets currently executing on the node",
+		func(n clusterNodeStat) int64 { return int64(n.InFlightTickets) })
 }

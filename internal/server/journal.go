@@ -45,6 +45,9 @@ type journalEntry struct {
 	Kind string          `json:"kind,omitempty"`
 	Key  string          `json:"key,omitempty"`
 	Body json.RawMessage `json:"body,omitempty"`
+	// A coordinator job's batch scheduling coordinates.
+	Priority int    `json:"priority,omitempty"`
+	Tenant   string `json:"tenant,omitempty"`
 	// Failure fields, populated on "failed" only.
 	Error string `json:"error,omitempty"`
 	Stage string `json:"stage,omitempty"`

@@ -77,3 +77,32 @@ func TestContinueOnErrorMatrixByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestValidationParity: a worker, a coordinator and a coordinator batch
+// refuse the same bodies with the same error, and the coordinator
+// dispatches no ticket for any of them.
+func TestValidationParity(t *testing.T) {
+	_, worker := newTestServer(t, Options{Workers: 1})
+	c, coord := newTestCoordinator(t, CoordinatorOptions{Workers: []string{worker.URL}})
+	for _, tc := range []struct{ kind, path, body string }{
+		{"sweep/routing", "/v1/sweeps/routing", `{"design":"alu","capacities":[0]}`},
+		{"sweep/routing", "/v1/sweeps/routing", `{"design":"alu","arch":{"kind":"nope"}}`},
+		{"run", "/v1/runs", `{"design":"alu","sede":3}`},
+	} {
+		wCode, w := httpJSON(t, "POST", worker.URL+tc.path, tc.body)
+		cCode, co := httpJSON(t, "POST", coord.URL+tc.path, tc.body)
+		bCode, b := httpJSON(t, "POST", coord.URL+"/v1/batch",
+			fmt.Sprintf(`{"jobs":[{"kind":%q,"request":%s}]}`, tc.kind, tc.body))
+		if wCode != http.StatusBadRequest || cCode != http.StatusBadRequest || bCode != http.StatusBadRequest {
+			t.Errorf("%s %s: worker %d, coordinator %d, batch %d; want 400 from all three",
+				tc.path, tc.body, wCode, cCode, bCode)
+		}
+		if w.Error == "" || co.Error != w.Error || b.Error != "batch job 0: "+w.Error {
+			t.Errorf("%s %s: errors differ:\nworker      %q\ncoordinator %q\nbatch       %q",
+				tc.path, tc.body, w.Error, co.Error, b.Error)
+		}
+	}
+	if got := c.tickets.Load(); got != 0 {
+		t.Fatalf("refused submissions dispatched %d tickets", got)
+	}
+}

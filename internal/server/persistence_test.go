@@ -367,3 +367,118 @@ func TestReplayedJobsServeStatusAndSSE(t *testing.T) {
 		t.Fatalf("replayed %d jobs, want %d", got, len(ids))
 	}
 }
+
+// TestFailedCellsNeverCached: a continue_on_error matrix whose cells
+// failed is served, but neither cached nor persisted — after a restart
+// without the timeout, the same request recomputes and comes back
+// complete instead of replaying the stale failure ledger.
+func TestFailedCellsNeverCached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix run in -short mode")
+	}
+	const body = `{"seed":11,"place_effort":1,"continue_on_error":true}`
+	dataDir := t.TempDir()
+	s1, ts1 := newTestServer(t, Options{Workers: 2, JobTimeout: 30 * time.Millisecond, DataDir: dataDir})
+	code, first := httpJSON(t, "POST", ts1.URL+"/v1/matrix?wait=1", body)
+	if code != http.StatusOK || first.Status != "done" {
+		t.Fatalf("timed-out matrix: status %d job %q (%s)", code, first.Status, first.Error)
+	}
+	var res MatrixResult
+	if err := json.Unmarshal(first.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errors) == 0 {
+		t.Fatal("a 30ms budget left the matrix without failed cells")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	ts1.Close()
+
+	_, ts2 := newTestServer(t, Options{Workers: 2, DataDir: dataDir})
+	code, again := httpJSON(t, "POST", ts2.URL+"/v1/matrix?wait=1", body)
+	if code != http.StatusOK || again.Status != "done" || again.Cached {
+		t.Fatalf("resubmission after restart: status %d job %q cached=%v (%s)", code, again.Status, again.Cached, again.Error)
+	}
+	res = MatrixResult{}
+	if err := json.Unmarshal(again.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errors) != 0 {
+		t.Fatalf("recomputed matrix still carries %d failed cells: %q", len(res.Errors), res.Errors)
+	}
+}
+
+// TestDrainBudgetExpiryReplays: a drain whose budget runs out cancels
+// the running job but journals no terminal entry for it, so a restart
+// on the same directory finishes the job under its ID — exactly as
+// after a SIGKILL — with the uninterrupted result.
+func TestDrainBudgetExpiryReplays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix run in -short mode")
+	}
+	dataDir := t.TempDir()
+	s, err := New(Options{Workers: 1, DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	code, jr := httpJSON(t, "POST", ts.URL+"/v1/matrix", `{"seed":7,"place_effort":3}`)
+	if code != http.StatusAccepted || jr.ID == "" {
+		t.Fatalf("submission: status %d %+v", code, jr)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		_, st := httpJSON(t, "GET", ts.URL+"/v1/runs/"+jr.ID, "")
+		if st.Status == "running" {
+			break
+		}
+		if st.Status == "done" || time.Now().After(deadline) {
+			t.Fatalf("matrix finished before the drain window (status %q)", st.Status)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); err == nil {
+		t.Fatal("a 100ms drain finished a running matrix")
+	}
+	ts.Close()
+	jn, entries, err := openJournal(filepath.Join(dataDir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jn.close()
+	var states []string
+	for _, e := range entries {
+		if e.ID == jr.ID {
+			states = append(states, e.State)
+		}
+	}
+	if got := strings.Join(states, ","); got != "accepted,running" {
+		t.Fatalf("journaled states %s, want accepted,running (no terminal entry)", got)
+	}
+
+	s2, ts2 := newTestServer(t, Options{Workers: 1, DataDir: dataDir})
+	deadline = time.Now().Add(3 * time.Minute)
+	var replayed rawResponse
+	for {
+		code, replayed = httpJSON(t, "GET", ts2.URL+"/v1/runs/"+jr.ID, "")
+		if code == http.StatusOK && (replayed.Status == "done" || replayed.Status == "failed") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replayed job %s never finished: status %d %+v", jr.ID, code, replayed)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if replayed.Status != "done" {
+		t.Fatalf("replayed job failed: %s", replayed.Error)
+	}
+	checkMatrixGolden(t, replayed.Result)
+	if got := s2.stats().JournalReplayedJobs; got != 1 {
+		t.Fatalf("replayed %d jobs, want 1", got)
+	}
+}

@@ -1,10 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
+	"io"
 	"sort"
 
 	"vpga/internal/bench"
@@ -14,6 +15,140 @@ import (
 	"vpga/internal/obs"
 	"vpga/internal/qor"
 )
+
+// kind is one row of the kind table: a job kind's name — also the
+// namespace of its content addresses — the route that accepts it, its
+// request type (parse) and its result type (decode, which revives a
+// stored or peer-served result).
+type kind struct {
+	name   string
+	path   string
+	parse  func(io.Reader) (jobRequest, error)
+	decode func([]byte) (any, error)
+}
+
+// The kind table. The HTTP routes, POST /v1/batch and journal replay
+// all parse through it, so every daemon accepts and refuses the same
+// bodies.
+var (
+	runKind = &kind{"run", "/v1/runs", parseAs[runRequest], decodeRun}
+	kinds   = []*kind{
+		runKind,
+		{"matrix", "/v1/matrix", parseAs[MatrixRequest], decodeAs[MatrixResult]},
+		{"sweep/granularity", "/v1/sweeps/granularity", parseAs[granularitySweep], decodeAs[[]core.SweepPoint]},
+		{"sweep/routing", "/v1/sweeps/routing", parseAs[routingSweep], decodeAs[[]core.RoutingPoint]},
+	}
+)
+
+// jobRequest is a request of one kind.
+type jobRequest interface {
+	// check validates the request — every rule a worker enforces, so a
+	// coordinator refuses the same bodies before dispatching anything —
+	// and returns its canonical form (what the content address hashes)
+	// and its display label.
+	check() (canonical any, label string, err error)
+	// runLocal executes the request on this node's flow engine.
+	runLocal(ctx context.Context, tr *obs.Tracer, stages *core.StageCache) (any, error)
+}
+
+// ledgered is a request whose results carry flow reports: a computed
+// result appends their QoR records to the run ledger.
+type ledgered interface {
+	ledger(res any, key string) []qor.Record
+}
+
+// composite is a request the coordinator fans out as per-cell tickets
+// through the core executor a single node runs it on, so the merged
+// result is byte-identical to a single node's.
+type composite interface {
+	fanOut(ctx context.Context, run ticketFunc, tr *jobTrace) (any, error)
+}
+
+// jobSpec is a parsed, validated request and what the lifecycle
+// derives from it.
+type jobSpec struct {
+	kind  *kind
+	req   jobRequest
+	key   string
+	label string
+}
+
+// spec strictly decodes and validates a request body of kind k.
+func (k *kind) spec(rd io.Reader) (jobSpec, error) {
+	req, err := k.parse(rd)
+	if err != nil {
+		return jobSpec{}, err
+	}
+	canonical, label, err := req.check()
+	if err != nil {
+		return jobSpec{}, err
+	}
+	key, err := core.CanonicalKey(k.name, canonical)
+	if err != nil {
+		return jobSpec{}, err
+	}
+	return jobSpec{kind: k, req: req, key: key, label: label}, nil
+}
+
+// parseSpec parses a body of the named kind (journal replay, batch
+// items).
+func parseSpec(name string, body []byte) (jobSpec, error) {
+	for _, k := range kinds {
+		if k.name == name {
+			return k.spec(bytes.NewReader(body))
+		}
+	}
+	return jobSpec{}, fmt.Errorf("unknown job kind %q", name)
+}
+
+func parseAs[T jobRequest](rd io.Reader) (jobRequest, error) {
+	var req T
+	if err := decodeStrict(rd, &req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+func decodeAs[T any](raw []byte) (any, error) {
+	var v T
+	err := json.Unmarshal(raw, &v)
+	return v, err
+}
+
+func decodeRun(raw []byte) (any, error) {
+	rep := &core.Report{}
+	err := json.Unmarshal(raw, rep)
+	return rep, err
+}
+
+// runRequest is a POST /v1/runs body: one flow run described by a
+// canonical core.FlowRequest.
+type runRequest struct{ core.FlowRequest }
+
+func (r runRequest) check() (any, string, error) {
+	if err := r.Validate(); err != nil {
+		return nil, "", err
+	}
+	return r.Normalize(), r.TicketLabel(), nil
+}
+
+func (r runRequest) runLocal(ctx context.Context, tr *obs.Tracer, stages *core.StageCache) (any, error) {
+	run := tr.NewRun(r.TicketLabel())
+	defer run.Close()
+	res, err := core.Run(ctx, r.FlowRequest, core.ExecOptions{Trace: run, Stages: stages})
+	if err != nil {
+		return nil, err
+	}
+	return res.Report, nil
+}
+
+func (r runRequest) ledger(res any, key string) []qor.Record {
+	rep, ok := res.(*core.Report)
+	if !ok || rep == nil {
+		return nil
+	}
+	return []qor.Record{qor.FromReport(rep, r.Seed, key)}
+}
 
 // MatrixRequest is the serializable description of one Table 1/2
 // matrix run (POST /v1/matrix). Like core.FlowRequest it carries only
@@ -48,22 +183,18 @@ func (r MatrixRequest) normalize() MatrixRequest {
 	return r
 }
 
-func (r MatrixRequest) validate() error {
+// check validates the matrix; its canonical form zeroes the Parallel
+// knob, which never changes the result.
+func (r MatrixRequest) check() (any, string, error) {
 	if r.Scale != "" && r.Scale != "test" && r.Scale != "paper" {
-		return fmt.Errorf("unknown scale %q (want test or paper)", r.Scale)
+		return nil, "", fmt.Errorf("unknown scale %q (want test or paper)", r.Scale)
 	}
 	if r.DefectRate < 0 || r.DefectRate >= 1 {
-		return fmt.Errorf("defect_rate %g outside [0,1)", r.DefectRate)
+		return nil, "", fmt.Errorf("defect_rate %g outside [0,1)", r.DefectRate)
 	}
-	return nil
-}
-
-// cacheKey is the request's content address; the Parallel knob is
-// zeroed first because it never changes the result.
-func (r MatrixRequest) cacheKey() (string, error) {
 	n := r.normalize()
 	n.Parallel = 0
-	return core.CanonicalKey("matrix", n)
+	return n, "matrix/" + n.Scale, nil
 }
 
 func (r MatrixRequest) suite() bench.Suite {
@@ -71,6 +202,67 @@ func (r MatrixRequest) suite() bench.Suite {
 		return bench.PaperSuite()
 	}
 	return bench.TestSuite()
+}
+
+func (r MatrixRequest) runLocal(ctx context.Context, tr *obs.Tracer, stages *core.StageCache) (any, error) {
+	n := r.normalize()
+	opts := core.MatrixOptions{
+		Seed: n.Seed, PlaceEffort: n.PlaceEffort, Parallel: r.Parallel,
+		ContinueOnError: n.ContinueOnError, RepairBudget: n.RepairBudget,
+		Trace: tr, Stages: stages,
+	}
+	if n.DefectRate > 0 {
+		opts.Defects = defect.New(n.DefectSeed, n.DefectRate)
+	}
+	m, err := core.RunMatrix(ctx, r.suite(), opts)
+	if err != nil {
+		return nil, err
+	}
+	return matrixResult(m), nil
+}
+
+// fanOut executes the matrix through core.ExecuteMatrix with cells as
+// tickets — per design the clock-pinning cell first, then its three
+// dependents at once, pinned to the derived clock — so pinning, the
+// ledger, the returned error and the merged MatrixResult are the ones
+// a single node computes.
+func (r MatrixRequest) fanOut(ctx context.Context, run ticketFunc, tr *jobTrace) (any, error) {
+	n := r.normalize()
+	designs := r.suite().All()
+	plan := core.MatrixPlan{
+		Scale: n.Scale, Seed: n.Seed, PlaceEffort: n.PlaceEffort,
+		DefectRate: n.DefectRate, DefectSeed: n.DefectSeed, RepairBudget: n.RepairBudget,
+	}
+	m, err := core.ExecuteMatrix(ctx, designs, run.cells(func(c core.Cell) (core.FlowRequest, string) {
+		return plan.Ticket(core.MatrixDesignNames()[c.Design], c), core.MatrixCellLabel(designs[c.Design].Name, c)
+	}), n.ContinueOnError, nil)
+	defer tr.span("merge", map[string]any{"cells": len(designs) * 4})()
+	if err != nil {
+		return nil, err
+	}
+	return matrixResult(m), nil
+}
+
+// ledger appends every populated cell. Matrix cells are not
+// request-shaped (the matrix pins clocks across flows), so their
+// records carry no cache key.
+func (r MatrixRequest) ledger(res any, _ string) []qor.Record {
+	m, ok := res.(MatrixResult)
+	if !ok {
+		return nil
+	}
+	var recs []qor.Record
+	for _, archs := range m.Reports {
+		for _, flows := range archs {
+			for _, rep := range flows {
+				if rep != nil {
+					recs = append(recs, qor.FromReport(rep, r.Seed, ""))
+				}
+			}
+		}
+	}
+	sort.Slice(recs, func(i, k int) bool { return recs[i].ID() < recs[k].ID() })
+	return recs
 }
 
 // MatrixResult is the matrix job payload: every populated report
@@ -102,174 +294,6 @@ func matrixResult(m *core.Matrix) MatrixResult {
 		res.Claims = &claims
 	}
 	return res
-}
-
-// buildJob rebuilds a job of the given kind from its canonical JSON
-// body. It is the one constructor both paths share: the HTTP handlers
-// (which journal the body on acceptance) and journal replay (which
-// reads it back after a crash) — so a replayed job is the submitted
-// job, not an approximation of it.
-func (s *Server) buildJob(kind string, body []byte) (*job, error) {
-	switch kind {
-	case "run":
-		var req core.FlowRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("request body: %w", err)
-		}
-		return s.buildRunJob(req)
-	case "matrix":
-		var req MatrixRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("request body: %w", err)
-		}
-		return s.buildMatrixJob(req)
-	case "sweep/granularity":
-		var req SweepRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("request body: %w", err)
-		}
-		return s.buildGranularitySweepJob(req)
-	case "sweep/routing":
-		var req SweepRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("request body: %w", err)
-		}
-		return s.buildRoutingSweepJob(req)
-	}
-	return nil, fmt.Errorf("unknown job kind %q", kind)
-}
-
-// setBody stamps the job's canonical journal body; a failure leaves
-// body nil, which simply makes the job non-journaled (and therefore
-// lost to a crash — never wrong).
-func (j *job) setBody(req any) {
-	if enc, err := json.Marshal(req); err == nil {
-		j.body = enc
-	}
-}
-
-// buildRunJob validates a flow-run request and assembles its job.
-func (s *Server) buildRunJob(req core.FlowRequest) (*job, error) {
-	key, err := req.CacheKey()
-	if err != nil {
-		return nil, err
-	}
-	n := req.Normalize()
-	label := n.Design + n.Name + "/" + n.Arch.Kind + "/flow " + n.Flow
-	j := s.newJob("run", key, label, func(ctx context.Context, tr *obs.Tracer) (any, error) {
-		run := tr.NewRun(label)
-		defer run.Close()
-		res, err := core.Run(ctx, req, core.ExecOptions{
-			Trace: run, Stages: s.stages,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return res.Report, nil
-	})
-	// The stage-key chain is derivable from the request alone, so it is
-	// available on the job from acceptance — even for cache hits that
-	// never execute.
-	if keys, err := req.StageKeys(); err == nil {
-		j.stageKeys = keys
-	}
-	// Cache a metrics-stripped deep clone: wall-clock artifacts are
-	// execution state, not content, and the cache must never alias a
-	// report already handed to a response encoder.
-	j.cachePrep = func(v any) any {
-		rep := v.(*core.Report).Clone()
-		rep.StripMetrics()
-		return rep
-	}
-	j.ledger = func(v any) []qor.Record {
-		rep, ok := v.(*core.Report)
-		if !ok || rep == nil {
-			return nil
-		}
-		return []qor.Record{qor.FromReport(rep, n.Seed, key)}
-	}
-	j.setBody(req)
-	return j, nil
-}
-
-// buildMatrixJob validates a matrix request and assembles its job.
-func (s *Server) buildMatrixJob(req MatrixRequest) (*job, error) {
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	key, err := req.cacheKey()
-	if err != nil {
-		return nil, err
-	}
-	n := req.normalize()
-	j := s.newJob("matrix", key, "matrix/"+n.Scale, func(ctx context.Context, tr *obs.Tracer) (any, error) {
-		opts := core.MatrixOptions{
-			Seed: n.Seed, PlaceEffort: n.PlaceEffort, Parallel: req.Parallel,
-			ContinueOnError: n.ContinueOnError, RepairBudget: n.RepairBudget,
-			Trace: tr, Stages: s.stages,
-		}
-		if n.DefectRate > 0 {
-			opts.Defects = defect.New(n.DefectSeed, n.DefectRate)
-		}
-		m, err := core.RunMatrix(ctx, req.suite(), opts)
-		if err != nil {
-			return nil, err
-		}
-		return matrixResult(m), nil
-	})
-	// Matrix cells are not request-shaped (RunMatrix pins clocks across
-	// flows), so their ledger records carry no cache key.
-	j.ledger = func(v any) []qor.Record {
-		res, ok := v.(MatrixResult)
-		if !ok {
-			return nil
-		}
-		var recs []qor.Record
-		for _, archs := range res.Reports {
-			for _, flows := range archs {
-				for _, rep := range flows {
-					if rep != nil {
-						recs = append(recs, qor.FromReport(rep, n.Seed, ""))
-					}
-				}
-			}
-		}
-		sort.Slice(recs, func(i, k int) bool { return recs[i].ID() < recs[k].ID() })
-		return recs
-	}
-	j.setBody(req)
-	return j, nil
-}
-
-// handleRun serves POST /v1/runs: one flow run described by a
-// canonical core.FlowRequest.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req core.FlowRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	j, err := s.buildRunJob(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.dispatch(w, r, j)
-}
-
-// handleMatrix serves POST /v1/matrix.
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	var req MatrixRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	j, err := s.buildMatrixJob(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.dispatch(w, r, j)
 }
 
 // SweepRequest is the serializable description of an exploration
@@ -321,12 +345,12 @@ func (r SweepRequest) normalize() SweepRequest {
 	return r
 }
 
-// cacheKey content-addresses the sweep under its endpoint's namespace;
-// Parallel is execution state and excluded.
-func (r SweepRequest) cacheKey(namespace string) (string, error) {
+// canonical is the sweep's content-addressed form; Parallel is
+// execution state and excluded.
+func (r SweepRequest) canonical() SweepRequest {
 	n := r.normalize()
 	n.Parallel = 0
-	return core.CanonicalKey(namespace, n)
+	return n
 }
 
 func (r SweepRequest) resolveDesign() (bench.Design, error) {
@@ -334,133 +358,111 @@ func (r SweepRequest) resolveDesign() (bench.Design, error) {
 	return core.ResolveDesign(n.Design, n.Scale, n.RTL, n.Name)
 }
 
-// buildGranularitySweepJob validates a granularity-sweep request and
-// assembles its job.
-func (s *Server) buildGranularitySweepJob(req SweepRequest) (*job, error) {
-	d, err := req.resolveDesign()
+// granularitySweep is a POST /v1/sweeps/granularity body.
+type granularitySweep struct{ SweepRequest }
+
+// resolve validates the sweep into its design and its architecture
+// family (specs, and the archs they resolve to).
+func (r granularitySweep) resolve() (bench.Design, []core.ArchSpec, []*cells.PLBArch, error) {
+	d, err := r.resolveDesign()
 	if err != nil {
-		return nil, err
+		return d, nil, nil, err
 	}
-	archs := core.DefaultSweepArchs()
-	if len(req.Archs) > 0 {
-		archs = make([]*cells.PLBArch, len(req.Archs))
-		for i, spec := range req.Archs {
-			if archs[i], err = spec.Resolve(); err != nil {
-				return nil, err
-			}
+	specs := r.normalize().Archs
+	if len(specs) == 0 {
+		specs = core.DefaultSweepArchSpecs()
+	}
+	archs := make([]*cells.PLBArch, len(specs))
+	for i, spec := range specs {
+		if archs[i], err = spec.Resolve(); err != nil {
+			return d, nil, nil, err
 		}
 	}
-	key, err := req.cacheKey("sweep/granularity")
-	if err != nil {
-		return nil, err
-	}
-	j := s.newJob("sweep/granularity", key, "sweep/"+d.Name, func(ctx context.Context, tr *obs.Tracer) (any, error) {
-		return core.RunGranularitySweep(ctx, d, archs, core.SweepOptions{
-			Seed: req.Seed, Parallel: req.Parallel, Trace: tr, Stages: s.stages,
-		})
-	})
-	j.setBody(req)
-	return j, nil
+	return d, specs, archs, nil
 }
 
-// buildRoutingSweepJob validates a routing-sweep request and
-// assembles its job.
-func (s *Server) buildRoutingSweepJob(req SweepRequest) (*job, error) {
-	d, err := req.resolveDesign()
+func (r granularitySweep) check() (any, string, error) {
+	d, _, _, err := r.resolve()
+	return r.canonical(), "granularity/" + d.Name, err
+}
+
+func (r granularitySweep) runLocal(ctx context.Context, tr *obs.Tracer, stages *core.StageCache) (any, error) {
+	d, _, archs, err := r.resolve()
 	if err != nil {
 		return nil, err
 	}
+	return core.RunGranularitySweep(ctx, d, archs, core.SweepOptions{
+		Seed: r.Seed, Parallel: r.Parallel, Trace: tr, Stages: stages,
+	})
+}
+
+// fanOut executes the sweep through core.ExecuteSweep with cells as
+// tickets — the first architecture pins the clock, the rest run pinned
+// at once — so the points and the failure match RunGranularitySweep's.
+func (r granularitySweep) fanOut(ctx context.Context, run ticketFunc, tr *jobTrace) (any, error) {
+	_, specs, archs, err := r.resolve()
+	if err != nil {
+		return nil, err
+	}
+	n := r.normalize()
+	plan := core.SweepPlan{Design: n.Design, Scale: n.Scale, RTL: n.RTL, Name: n.Name, Seed: n.Seed, Archs: specs}
+	reps, err := core.ExecuteSweep(archs, run.cells(func(c core.Cell) (core.FlowRequest, string) {
+		return plan.Ticket(c), plan.TicketLabel(c.Arch)
+	}))
+	defer tr.span("merge", map[string]any{"cells": len(archs)})()
+	if err != nil {
+		return nil, err
+	}
+	pts := make([]core.SweepPoint, len(reps))
+	for i, rep := range reps {
+		pts[i] = core.SweepPointFrom(archs[i], rep)
+	}
+	return pts, nil
+}
+
+// routingSweep is a POST /v1/sweeps/routing body. Its capacity points
+// share one placement, so it is not splittable into pure tickets: a
+// coordinator forwards it whole.
+type routingSweep struct{ SweepRequest }
+
+// resolve validates the sweep into its design, architecture and
+// capacities.
+func (r routingSweep) resolve() (bench.Design, *cells.PLBArch, []int, error) {
+	d, err := r.resolveDesign()
+	if err != nil {
+		return d, nil, nil, err
+	}
 	spec := core.ArchSpec{}
-	if req.Arch != nil {
-		spec = *req.Arch
+	if r.Arch != nil {
+		spec = *r.Arch
 	}
 	arch, err := spec.Resolve()
 	if err != nil {
-		return nil, err
+		return d, nil, nil, err
 	}
-	capacities := req.Capacities
+	capacities := r.Capacities
 	if len(capacities) == 0 {
 		capacities = []int{4, 8, 16, 32, 64}
 	}
 	for _, c := range capacities {
 		if c < 1 {
-			return nil, fmt.Errorf("capacity %d < 1", c)
+			return d, nil, nil, fmt.Errorf("capacity %d < 1", c)
 		}
 	}
-	key, err := req.cacheKey("sweep/routing")
+	return d, arch, capacities, nil
+}
+
+func (r routingSweep) check() (any, string, error) {
+	d, _, _, err := r.resolve()
+	return r.canonical(), "routing/" + d.Name, err
+}
+
+func (r routingSweep) runLocal(ctx context.Context, tr *obs.Tracer, stages *core.StageCache) (any, error) {
+	d, arch, capacities, err := r.resolve()
 	if err != nil {
 		return nil, err
 	}
-	j := s.newJob("sweep/routing", key, "routing/"+d.Name, func(ctx context.Context, tr *obs.Tracer) (any, error) {
-		return core.RunRoutingSweep(ctx, d, arch, capacities, core.SweepOptions{
-			Seed: req.Seed, Parallel: req.Parallel, Trace: tr, Stages: s.stages,
-		})
+	return core.RunRoutingSweep(ctx, d, arch, capacities, core.SweepOptions{
+		Seed: r.Seed, Parallel: r.Parallel, Trace: tr, Stages: stages,
 	})
-	j.setBody(req)
-	return j, nil
-}
-
-// handleGranularitySweep serves POST /v1/sweeps/granularity.
-func (s *Server) handleGranularitySweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	j, err := s.buildGranularitySweepJob(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.dispatch(w, r, j)
-}
-
-// handleRoutingSweep serves POST /v1/sweeps/routing.
-func (s *Server) handleRoutingSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	j, err := s.buildRoutingSweepJob(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.dispatch(w, r, j)
-}
-
-// decodeStored revives a persisted result payload as the live value
-// its kind serves — the inverse of the JSON encoding persistResult
-// stored. Any decode failure is a miss (the store's contract: corrupt
-// or unreadable entries are recomputed, never fatal).
-func decodeStored(kind string, raw []byte) (any, bool) {
-	var (
-		v   any
-		err error
-	)
-	switch kind {
-	case "run":
-		rep := &core.Report{}
-		err = json.Unmarshal(raw, rep)
-		v = rep
-	case "matrix":
-		var m MatrixResult
-		err = json.Unmarshal(raw, &m)
-		v = m
-	case "sweep/granularity":
-		var pts []core.SweepPoint
-		err = json.Unmarshal(raw, &pts)
-		v = pts
-	case "sweep/routing":
-		var pts []core.RoutingPoint
-		err = json.Unmarshal(raw, &pts)
-		v = pts
-	default:
-		return nil, false
-	}
-	if err != nil {
-		return nil, false
-	}
-	return v, true
 }

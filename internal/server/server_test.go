@@ -824,3 +824,29 @@ func TestRetryAfterTracksBacklog(t *testing.T) {
 		t.Fatalf("hint %d above the clamp", deepHint)
 	}
 }
+
+// BenchmarkServerRunCacheHit times one POST /v1/runs answered from a
+// warm memory LRU, through the in-process handler: request decode,
+// validation, key derivation, cache lookup and the response encode.
+func BenchmarkServerRunCacheHit(b *testing.B) {
+	s, err := New(Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	post := func() int {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs?wait=1", strings.NewReader(runBody)))
+		return rec.Code
+	}
+	if code := post(); code != http.StatusOK {
+		b.Fatalf("warm-up run: status %d", code)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if code := post(); code != http.StatusOK {
+			b.Fatalf("cache hit: status %d", code)
+		}
+	}
+}

@@ -16,7 +16,6 @@ import (
 // broadcast) sufficient.
 type ring struct {
 	mu     sync.RWMutex
-	vnodes int
 	live   map[string]bool
 	points []ringPoint // points of live members, sorted by hash
 }
@@ -26,16 +25,13 @@ type ringPoint struct {
 	node string
 }
 
-// defaultVNodes spreads each member over enough points that key load
-// stays within a few percent of uniform at small cluster sizes.
-const defaultVNodes = 64
+// vnodes spreads each member over enough points that key load stays
+// within a few percent of uniform at small cluster sizes.
+const vnodes = 64
 
 // newRing builds a ring over the members, all initially live.
-func newRing(members []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
-	r := &ring{vnodes: vnodes, live: make(map[string]bool, len(members))}
+func newRing(members []string) *ring {
+	r := &ring{live: make(map[string]bool, len(members))}
 	for _, m := range members {
 		r.live[m] = true
 	}
@@ -51,7 +47,7 @@ func (r *ring) rebuild() {
 		if !up {
 			continue
 		}
-		for i := 0; i < r.vnodes; i++ {
+		for i := 0; i < vnodes; i++ {
 			r.points = append(r.points, ringPoint{hash: ringHash(m + "#" + strconv.Itoa(i)), node: m})
 		}
 	}

@@ -241,7 +241,7 @@ func assignLanes(tickets []ticketRecord) []int {
 // worker job's epoch onto the coordinator job's timeline. A dead
 // node's fragments are simply absent: its ticket spans (recorded
 // coordinator-side) still show what it ran before dying.
-func (c *Coordinator) mergedTrace(ctx context.Context, j *cjob) []traceEvent {
+func (c *Coordinator) mergedTrace(ctx context.Context, j *job) []traceEvent {
 	spans, instants, tickets := j.trace.snapshot()
 	traceID := j.traceID
 
