@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -39,8 +40,12 @@ type CellRunner struct {
 	// Lane runs body on one execution lane and returns when body does;
 	// body calls run once per cell of the lane, in order. A local
 	// runner holds a pool slot and a stage-cache tier for the lane's
-	// lifetime; a ticket runner holds nothing.
-	Lane func(body func(run CellFunc))
+	// lifetime; a ticket runner holds nothing. weight estimates the
+	// lane's work, for a runner that orders lanes waiting on a bounded
+	// pool: ExecuteMatrix gives a design's pin lane +Inf, since every
+	// other lane of the design waits on it, and each dependent lane its
+	// pin report's Runtime; ExecuteSweep passes 0.
+	Lane func(weight float64, body func(run CellFunc))
 	// Chain asks ExecuteMatrix for one lane per (design, arch): the pin
 	// heads the granular lane and each flow b follows its flow a, so a
 	// lane's stage tier hands the compacted netlist and placement from
@@ -100,7 +105,7 @@ func ExecuteMatrix(ctx context.Context, designs []bench.Design, r CellRunner, ke
 		}()
 	}
 	for di := range designs {
-		x.spawn(func(run CellFunc) { x.design(di, run) })
+		x.spawn(math.Inf(1), func(run CellFunc) { x.design(di, run) })
 	}
 	x.wg.Wait()
 	sort.Slice(x.m.Errors, func(i, j int) bool { return ledgerLess(x.m.Errors[i], x.m.Errors[j]) })
@@ -151,11 +156,11 @@ type matrixRun struct {
 }
 
 // spawn runs body on a lane of its own.
-func (x *matrixRun) spawn(body func(run CellFunc)) {
+func (x *matrixRun) spawn(weight float64, body func(run CellFunc)) {
 	x.wg.Add(1)
 	go func() {
 		defer x.wg.Done()
-		x.r.Lane(body)
+		x.r.Lane(weight, body)
 	}()
 }
 
@@ -192,7 +197,7 @@ func (x *matrixRun) design(di int, run CellFunc) {
 		here, lanes = lanes[0], lanes[1:]
 	}
 	for _, lane := range lanes {
-		x.spawn(func(run CellFunc) {
+		x.spawn(float64(pin.Runtime), func(run CellFunc) {
 			for _, c := range lane {
 				x.runStore(run, c)
 			}
@@ -291,7 +296,7 @@ func ExecuteSweep(archs []*cells.PLBArch, r CellRunner) ([]*Report, error) {
 	reps := make([]*Report, len(archs))
 	errs := make([]error, len(archs))
 	cell := func(i int, clock float64) {
-		r.Lane(func(run CellFunc) {
+		r.Lane(0, func(run CellFunc) {
 			reps[i], errs[i] = run(Cell{Arch: i, Flow: FlowB, Clock: clock})
 		})
 	}

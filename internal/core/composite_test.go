@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -18,19 +19,21 @@ import (
 
 // fakeCells is a CellRunner backend that runs no flow: each cell
 // returns a synthetic report — MaxArrival 1000·(design+1), a pin's own
-// clock 900 — or fails when fail says so, after a random pause that
-// shuffles completion order. It records every lane's cells in order.
+// clock 900, Runtime design+1 ms — or fails when fail says so, after a
+// random pause that shuffles completion order. It records every lane's
+// cells in order, and its weight.
 type fakeCells struct {
 	designs []bench.Design
 	fail    func(Cell) bool
 
-	mu    sync.Mutex
-	lanes [][]Cell
+	mu      sync.Mutex
+	lanes   [][]Cell
+	weights []float64
 }
 
 func (f *fakeCells) runner(par int, chain bool) CellRunner {
 	sem := make(chan struct{}, par)
-	return CellRunner{Chain: chain, Lane: func(body func(run CellFunc)) {
+	return CellRunner{Chain: chain, Lane: func(weight float64, body func(run CellFunc)) {
 		sem <- struct{}{}
 		defer func() { <-sem }()
 		var lane []Cell
@@ -48,18 +51,21 @@ func (f *fakeCells) runner(par int, chain bool) CellRunner {
 				Design: f.designs[c.Design].Name, Arch: MatrixArchNames()[c.Arch], Flow: c.Flow.String(),
 				DieArea: float64(100*c.Design + 10*c.Arch + int(c.Flow)), ClockPeriod: clock,
 				AvgTopSlack: 50, WorstSlack: 10, MaxArrival: float64(1000 * (c.Design + 1)),
+				Runtime: time.Duration(c.Design+1) * time.Millisecond,
 			}, nil
 		})
 		f.mu.Lock()
 		f.lanes = append(f.lanes, lane)
+		f.weights = append(f.weights, weight)
 		f.mu.Unlock()
 	}}
 }
 
 // TestExecuteMatrixRules checks the executor's cross-cell rules with a
 // fake runner, chained and unchained, at Parallel 1 and 4: cell order
-// and lanes, the pinned clock and the pin's Reclock, the three skipped
-// entries after a failed pin, ledger order and progress order.
+// and lanes, lane weights, the pinned clock and the pin's Reclock, the
+// three skipped entries after a failed pin, ledger order and progress
+// order.
 func TestExecuteMatrixRules(t *testing.T) {
 	designs := smallSuite().All()
 	broken := 2 // FPU: its pin fails
@@ -79,13 +85,22 @@ func TestExecuteMatrixRules(t *testing.T) {
 			// Lanes: a chained runner keeps each (design, arch) on one
 			// lane in flow order; otherwise every cell is a lane. Every
 			// lane of a design other than the pin's runs at the pinned
-			// clock, and the pin's lane starts at clock 0.
+			// clock, and the pin's lane starts at clock 0. A pin's lane
+			// waits at weight +Inf, every other lane at its pin report's
+			// Runtime.
 			lanes := map[string]bool{}
-			for _, lane := range f.lanes {
+			for li, lane := range f.lanes {
 				if len(lane) == 0 {
 					t.Fatalf("chain=%v par=%d: empty lane", chain, par)
 				}
 				di := lane[0].Design
+				weight := float64(time.Duration(di+1) * time.Millisecond)
+				if lane[0].Arch == 0 && lane[0].Flow == FlowA {
+					weight = math.Inf(1)
+				}
+				if f.weights[li] != weight {
+					t.Fatalf("chain=%v par=%d: lane %v has weight %g, want %g", chain, par, lane, f.weights[li], weight)
+				}
 				clock := 1.2 * float64(1000*(di+1))
 				var names []string
 				for k, c := range lane {
@@ -237,7 +252,7 @@ func TestExecuteSweepLowestFailure(t *testing.T) {
 	for run := 0; run < 10; run++ {
 		var mu sync.Mutex
 		ran := map[int]float64{}
-		r := CellRunner{Lane: func(body func(run CellFunc)) {
+		r := CellRunner{Lane: func(_ float64, body func(run CellFunc)) {
 			body(func(c Cell) (*Report, error) {
 				time.Sleep(time.Duration(rand.Intn(300)) * time.Microsecond)
 				mu.Lock()

@@ -124,8 +124,11 @@ func supervisedRun(ctx context.Context, d bench.Design, cfg Config, timeout time
 // opts.Stages, or else an in-memory tier of the chain's own, dropped
 // when the chain ends. Designs run concurrently; within a design the
 // clock-pinning run (granular / flow a) heads the granular chain, and
-// the lut chain starts as soon as it finishes. A failed flow a does
-// not skip its flow b, which then computes the placement itself.
+// the lut chain queues as soon as it finishes. A freed slot goes to the
+// heaviest queued chain: pins first, since the rest of their design
+// waits on them, then the chain whose pin ran longest, so the longest
+// anneal left does not end the matrix alone on one core. A failed flow
+// a does not skip its flow b, which then computes the placement itself.
 //
 // Failures never crash or hang the pool: a panicking worker, a timed
 // out run, or an unroutable defect map becomes a *FlowError in the
@@ -149,12 +152,13 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 	// shaped, so after warm-up each run checks out ready-sized scratch
 	// instead of allocating it. Reuse never changes reports.
 	pool := route.NewPool()
-	sem := make(chan struct{}, par)
-	lane := func(body func(run CellFunc)) {
-		sem <- struct{}{}
-		defer func() { <-sem }()
+	slots := newGate(par)
+	lane := func(weight float64, body func(run CellFunc)) {
+		slots.acquire(weight)
+		defer slots.release()
 		// No other chain shares this one's keys, so without opts.Stages
-		// its tier lives only as long as the lane.
+		// its tier lives only while the lane holds its slot: live tiers
+		// never outnumber the slots, however long a lane waits.
 		stages := opts.Stages
 		if stages == nil {
 			stages = newMemStageCache()
@@ -439,7 +443,7 @@ func (o SweepOptions) workers() int {
 func (o SweepOptions) runner(ctx context.Context, d bench.Design, archs []*cells.PLBArch, label string) CellRunner {
 	sem := make(chan struct{}, o.workers())
 	pool := route.NewPool()
-	return CellRunner{Lane: func(body func(run CellFunc)) {
+	return CellRunner{Lane: func(_ float64, body func(run CellFunc)) {
 		sem <- struct{}{}
 		defer func() { <-sem }()
 		body(func(c Cell) (*Report, error) {

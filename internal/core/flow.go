@@ -64,9 +64,10 @@ type Config struct {
 	PlaceEffort int
 	// PlaceWorkers sets the annealer's worker count (0 or 1 =
 	// single-threaded). Reports are bit-identical at any setting — the
-	// annealer's parallel kernel is deterministic — so this is a pure
-	// throughput knob: it never enters FlowRequest or the report cache
-	// key.
+	// annealer's parallel kernel is deterministic — so it never enters
+	// FlowRequest or the report cache key. It is not a reliable speed
+	// knob: on a 2-vCPU host two workers anneal slower than one
+	// (EXPERIMENTS E19).
 	PlaceWorkers int
 	// SkipCompaction disables the regularity-driven compaction step
 	// (ablation E4).

@@ -22,7 +22,7 @@ func TestSweepTicketEquivalence(t *testing.T) {
 	}
 
 	plan := SweepPlan{Design: "alu", Scale: "test", Seed: 5, Archs: specs}
-	tickets := CellRunner{Lane: func(body func(run CellFunc)) {
+	tickets := CellRunner{Lane: func(_ float64, body func(run CellFunc)) {
 		body(func(c Cell) (*Report, error) {
 			res, err := Run(context.Background(), plan.Ticket(c), ExecOptions{})
 			if err != nil {

@@ -77,9 +77,10 @@ func (r *prng) intn(n int32) int32 {
 
 // slot holds one evaluated proposal: the move, its pre-drawn
 // acceptance uniform, the cost delta against the batch-start state,
-// and the tentative boxes of every net the move touches. oi and oj
-// (oj = -1 for displacements) are always populated, even for invalid
-// proposals — the commit loop's conflict check keys off them.
+// and the tentative cost of every net the move touches plus the
+// tentative box of every wide one. oi and oj (oj = -1 for
+// displacements) are always populated, even for invalid proposals —
+// the commit loop's conflict check keys off them.
 type slot struct {
 	swap    bool
 	invalid bool // rejected before evaluation (self-swap, blocked site)
@@ -88,8 +89,8 @@ type slot struct {
 	u       float64
 	delta   float64
 	nets    []int32
-	boxes   []netBox
-	costs   []float64 // weighted cost of each tentative box
+	costs   []float64 // tentative weighted cost, in nets order
+	boxes   []netBox  // tentative boxes of the wide nets, in nets order
 }
 
 // evalScratch is per-worker evaluation state: the shared-net marks a
@@ -144,43 +145,33 @@ func genMove(r *prng, movable []int32) (oi int32, swap bool, oj int32) {
 	return oi, false, -1
 }
 
-// evalDisplace evaluates a displacement proposal against the current
-// state into s. The target position derives from the object's current
-// coordinates, so it must run before any same-batch commit touches the
-// object's nets (the engine guarantees this via the conflict skip).
+// evalDisplace draws a displacement proposal and evaluates it against
+// the current state into s. The target position derives from the
+// object's current coordinates, so it must run before any same-batch
+// commit touches the object's nets (the engine guarantees this via the
+// conflict skip).
 func (p *Problem) evalDisplace(r *prng, oi int32, window float64, s *slot) {
 	nx := clamp(p.x[oi]+(r.float64v()*2-1)*window, 0, p.W)
 	ny := clamp(p.y[oi]+(r.float64v()*2-1)*window, 0, p.H)
-	u := r.float64v()
-	s.swap, s.oi, s.oj = false, oi, -1
+	s.u = r.float64v()
 	if p.blocked != nil && p.blocked(nx, ny) {
-		s.invalid = true
+		s.swap, s.oi, s.oj, s.invalid = false, oi, -1, true
 		return
 	}
-	s.invalid = false
-	s.nx, s.ny, s.u = nx, ny, u
-	s.nets, s.boxes, s.costs = s.nets[:0], s.boxes[:0], s.costs[:0]
+	p.evalMove(oi, nx, ny, s)
+}
+
+// evalMove evaluates moving object oi to (nx, ny) into s: the engine's
+// evaluator for every displacement, drawn by the annealer or by Refine
+// and estimateInitialTemp.
+func (p *Problem) evalMove(oi int32, nx, ny float64, s *slot) {
+	s.swap, s.oi, s.oj, s.invalid = false, oi, -1, false
+	s.nx, s.ny = nx, ny
+	s.nets, s.costs, s.boxes = s.nets[:0], s.costs[:0], s.boxes[:0]
 	ox, oy := p.x[oi], p.y[oi]
 	delta := 0.0
 	for _, ni := range p.objNets(oi) {
-		// 2-pin nets (the bulk) never build a box at evaluation time:
-		// |Δx|+|Δy| is the box hpwl bit for bit (boundaries are the
-		// same subtractions), and commitSlot rebuilds the box from the
-		// committed positions only on acceptance. Wider nets store
-		// their tentative box in s.boxes, in s.nets order.
-		var c float64
-		if p.pinOff[ni+1]-p.pinOff[ni] == 2 {
-			pins := p.netPins(ni)
-			oo := pins[0]
-			if oo == oi {
-				oo = pins[1]
-			}
-			c = p.netW[ni] * (math.Abs(nx-p.x[oo]) + math.Abs(ny-p.y[oo]))
-		} else {
-			nb := p.displacedBoxWide(ni, oi, ox, oy, nx, ny)
-			c = p.netW[ni] * nb.hpwl()
-			s.boxes = append(s.boxes, nb)
-		}
+		c := p.movedCost(ni, oi, ox, oy, nx, ny, s)
 		s.nets = append(s.nets, ni)
 		s.costs = append(s.costs, c)
 		delta += c - p.boxCostW[ni]
@@ -189,11 +180,11 @@ func (p *Problem) evalDisplace(r *prng, oi int32, window float64, s *slot) {
 }
 
 // evalSwap evaluates a swap proposal against the current state into s.
-// Nets touching only one end take the incremental boundary update;
-// only nets shared by both ends need a full rescan at the swapped
-// positions.
+// A net touching one end sees that end move onto the other's site. A
+// net shared by both ends keeps its point set — the swap only permutes
+// it — and so its box and cost.
 func (p *Problem) evalSwap(r *prng, oi, oj int32, s *slot, ws *evalScratch) {
-	u := r.float64v()
+	s.u = r.float64v()
 	s.swap, s.oi, s.oj = true, oi, oj
 	if oi == oj {
 		s.invalid = true
@@ -209,8 +200,7 @@ func (p *Problem) evalSwap(r *prng, oi, oj int32, s *slot, ws *evalScratch) {
 		return
 	}
 	s.invalid = false
-	s.u = u
-	s.nets, s.boxes, s.costs = s.nets[:0], s.boxes[:0], s.costs[:0]
+	s.nets, s.costs, s.boxes = s.nets[:0], s.costs[:0], s.boxes[:0]
 	epoch := ws.epoch + 1
 	ws.epoch += 2 // epoch marks oj's nets, epoch+1 marks shared nets already handled
 	for _, ni := range p.objNets(oj) {
@@ -219,30 +209,14 @@ func (p *Problem) evalSwap(r *prng, oi, oj int32, s *slot, ws *evalScratch) {
 	delta := 0.0
 	for _, ni := range p.objNets(oi) {
 		var c float64
-		deg := p.pinOff[ni+1] - p.pinOff[ni]
-		if ws.mark[ni] == epoch {
-			// Shared by both ends. A shared 2-pin net is exactly
-			// {oi, oj}: swapping leaves the point set — and therefore
-			// the cost — untouched.
+		if ws.mark[ni] == epoch { // shared: box and cost stand
 			ws.mark[ni] = epoch + 1
-			if deg == 2 {
-				c = p.boxCostW[ni]
-			} else {
-				nb := p.computeBoxSwapped(ni, oi, oj)
-				c = p.netW[ni] * nb.hpwl()
-				s.boxes = append(s.boxes, nb)
+			c = p.boxCostW[ni]
+			if p.pinOff[ni+1]-p.pinOff[ni] >= wideNet {
+				s.boxes = append(s.boxes, p.boxes[ni])
 			}
-		} else if deg == 2 {
-			pins := p.netPins(ni)
-			oo := pins[0]
-			if oo == oi {
-				oo = pins[1]
-			}
-			c = p.netW[ni] * (math.Abs(xj-p.x[oo]) + math.Abs(yj-p.y[oo]))
 		} else {
-			nb := p.displacedBoxWide(ni, oi, xi, yi, xj, yj)
-			c = p.netW[ni] * nb.hpwl()
-			s.boxes = append(s.boxes, nb)
+			c = p.movedCost(ni, oi, xi, yi, xj, yj, s)
 		}
 		s.nets = append(s.nets, ni)
 		s.costs = append(s.costs, c)
@@ -252,19 +226,7 @@ func (p *Problem) evalSwap(r *prng, oi, oj int32, s *slot, ws *evalScratch) {
 		if ws.mark[ni] == epoch+1 {
 			continue // shared, handled above
 		}
-		var c float64
-		if p.pinOff[ni+1]-p.pinOff[ni] == 2 {
-			pins := p.netPins(ni)
-			oo := pins[0]
-			if oo == oj {
-				oo = pins[1]
-			}
-			c = p.netW[ni] * (math.Abs(xi-p.x[oo]) + math.Abs(yi-p.y[oo]))
-		} else {
-			nb := p.displacedBoxWide(ni, oj, xj, yj, xi, yi)
-			c = p.netW[ni] * nb.hpwl()
-			s.boxes = append(s.boxes, nb)
-		}
+		c := p.movedCost(ni, oj, xj, yj, xi, yi, s)
 		s.nets = append(s.nets, ni)
 		s.costs = append(s.costs, c)
 		delta += c - p.boxCostW[ni]
@@ -330,8 +292,8 @@ func (p *Problem) conflicted(e *engineState, oi int32, swap bool, oj int32) bool
 
 // commitSlot applies an evaluated, unconflicted proposal: the
 // Metropolis test on its pre-drawn uniform, then — on acceptance —
-// positions (both the SoA mirror and the Obj fields), cached boxes,
-// and the batch conflict marks.
+// positions (both the SoA mirror and the Obj fields), cached costs and
+// wide-net boxes, and the batch conflict marks.
 func (p *Problem) commitSlot(e *engineState, s *slot, temp float64) bool {
 	if !metropolis(s.delta, temp, s.u) {
 		return false
@@ -349,12 +311,7 @@ func (p *Problem) commitSlot(e *engineState, s *slot, temp float64) bool {
 	}
 	bi := 0
 	for k, ni := range s.nets {
-		if p.pinOff[ni+1]-p.pinOff[ni] == 2 {
-			// Rebuilt from the just-committed positions; the eval
-			// stored only the cost.
-			a, b := p.pinIdx[p.pinOff[ni]], p.pinIdx[p.pinOff[ni]+1]
-			p.boxes[ni] = box2(p.x[a], p.y[a], p.x[b], p.y[b])
-		} else {
+		if p.pinOff[ni+1]-p.pinOff[ni] >= wideNet {
 			p.boxes[ni] = s.boxes[bi]
 			bi++
 		}

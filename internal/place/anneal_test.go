@@ -7,13 +7,14 @@ import (
 )
 
 // TestSoAKernelMatchesScratchRandomOps is the property test for the
-// SoA incremental cost kernel: a long randomized sequence of committed
-// displacements and swaps, cross-checked for exact float equality
-// against from-scratch computeBox rebuilds along the way. Unlike the
-// pass-level test this drives the kernel primitives directly, with
-// wide unclamped jumps, degenerate moves (zero-length displacements,
-// repeated positions that stack objects on shared boundaries), and
-// interleaved external perturbations absorbed by initBoxes.
+// SoA incremental cost kernel: a long randomized sequence of moves
+// evaluated and committed through the engine path (evalDisplace /
+// evalMove / evalSwap → commitSlot), cross-checked for exact float
+// equality against from-scratch computeBox rebuilds along the way.
+// Unlike the pass-level test it includes degenerate moves: zero-length
+// displacements, moves stacking an object exactly onto another's
+// position (shared boundaries), swaps of two objects sharing a 3-pin
+// net, and interleaved external perturbations absorbed by initBoxes.
 func TestSoAKernelMatchesScratchRandomOps(t *testing.T) {
 	p, _, _ := buildProblem(t, src, 21)
 	p.initBoxes()
@@ -23,37 +24,64 @@ func TestSoAKernelMatchesScratchRandomOps(t *testing.T) {
 	e := p.engine(1)
 	var s slot
 	ws := &e.scratch[0]
-	for op := 0; op < 4000; op++ {
-		switch rng.Intn(10) {
-		case 0, 1: // swap via the engine slot path
-			oi := movable[rng.Intn(len(movable))]
-			oj := movable[rng.Intn(len(movable))]
-			r := prng(rng.Uint64())
-			p.evalSwap(&r, oi, oj, &s, ws)
-			if !s.invalid {
-				e.batchEp++
-				p.commitSlot(e, &s, 1e18) // always accept
+	var tri [][]int32 // movable pin pairs of 3-pin nets
+	for ni := range p.Nets {
+		if pins := p.netPins(int32(ni)); len(pins) == 3 {
+			var mv []int32
+			for _, oi := range pins {
+				if !p.Objs[oi].Fixed {
+					mv = append(mv, oi)
+				}
 			}
-		case 2: // zero-length displacement (old == new on every boundary)
-			oi := movable[rng.Intn(len(movable))]
-			p.displaceDelta(oi, p.x[oi], p.y[oi])
-			p.commitDisplace(oi, p.x[oi], p.y[oi])
-		case 3: // stack exactly onto another object's position
-			oi := movable[rng.Intn(len(movable))]
-			oj := movable[rng.Intn(len(movable))]
-			p.displaceDelta(oi, p.x[oj], p.y[oj])
-			p.commitDisplace(oi, p.x[oj], p.y[oj])
-		default: // uniform long-range displacement
-			oi := movable[rng.Intn(len(movable))]
-			nx, ny := rng.Float64()*p.W, rng.Float64()*p.H
-			p.displaceDelta(oi, nx, ny)
-			p.commitDisplace(oi, nx, ny)
+			if len(mv) >= 2 {
+				tri = append(tri, mv[:2])
+			}
 		}
+	}
+	if len(tri) == 0 {
+		t.Fatal("test design has no 3-pin net with two movable pins")
+	}
+	commit := func() {
+		if !s.invalid {
+			e.batchEp++
+			if !p.commitSlot(e, &s, math.Inf(1)) { // always accept
+				t.Fatalf("commit at infinite temperature rejected delta %v", s.delta)
+			}
+		}
+	}
+	ops := map[string]int{}
+	for op := 0; op < 4000; op++ {
+		r := prng(rng.Uint64())
+		switch k := rng.Intn(10); k {
+		case 0, 1: // swap of two random objects
+			ops["swap"]++
+			p.evalSwap(&r, movable[rng.Intn(len(movable))], movable[rng.Intn(len(movable))], &s, ws)
+		case 2: // swap of two objects sharing a 3-pin net
+			ops["swap3"]++
+			pair := tri[rng.Intn(len(tri))]
+			p.evalSwap(&r, pair[0], pair[1], &s, ws)
+		case 3: // zero-length displacement (old == new on every boundary)
+			ops["zero"]++
+			p.evalDisplace(&r, movable[rng.Intn(len(movable))], 0, &s)
+		case 4: // stack exactly onto another object's position
+			ops["stack"]++
+			oi, oj := movable[rng.Intn(len(movable))], movable[rng.Intn(len(movable))]
+			p.evalMove(oi, p.x[oj], p.y[oj], &s)
+		default: // long-range displacement, clamped to the die
+			ops["long"]++
+			p.evalDisplace(&r, movable[rng.Intn(len(movable))], math.Max(p.W, p.H), &s)
+		}
+		commit()
 		if op%500 == 499 {
 			checkBoxes(t, p, "mid-sequence")
 		}
 	}
 	checkBoxes(t, p, "final")
+	for _, kind := range []string{"swap", "swap3", "zero", "stack", "long"} {
+		if ops[kind] == 0 {
+			t.Fatalf("op kind %q never ran: %v", kind, ops)
+		}
+	}
 	// External writers bypass the kernel; initBoxes must resync the SoA
 	// mirror and rebuild.
 	for _, oi := range movable {

@@ -1,11 +1,16 @@
 package place
 
-// Incremental placement cost kernel: every net carries a cached
-// bounding box with per-boundary occupancy counts (the VPR scheme), so
-// a move proposal costs O(incident nets) instead of O(incident pins).
-// A rescan — restricted to the single broken boundary — happens only
-// when the sole object holding that boundary moves inward, exactly the
-// case where the new boundary is unknowable without a scan.
+import "math"
+
+// Incremental placement cost kernel: every net of ≥ wideNet pins
+// carries a cached bounding box with per-boundary occupancy counts (the
+// VPR scheme), so a move proposal costs O(incident nets) instead of
+// O(incident pins). A rescan — restricted to the single broken
+// boundary — happens only when the sole object holding that boundary
+// moves inward, exactly the case where the new boundary is unknowable
+// without a scan. Nets of 2 and 3 pins (the bulk) keep only their
+// weighted cost: a move reads their HPWL straight from the pin
+// positions.
 //
 // The kernel runs entirely on a flat SoA mirror of the problem —
 // contiguous coordinate arrays (x, y), per-net weights (netW), and the
@@ -15,7 +20,7 @@ package place
 // the external interface: initBoxes resyncs the mirror from them, and
 // every committed move writes both.
 //
-// The cached boxes store the same float64 coordinates a scratch scan
+// Boxes and costs store the same float64 coordinates a scratch scan
 // would select (boundaries are selections, never arithmetic), so the
 // cached cost matches Problem.HPWL() bit for bit; the place tests
 // cross-check this invariant after every annealing pass.
@@ -170,27 +175,6 @@ func (p *Problem) computeBox(ni int32) netBox {
 	return b
 }
 
-// computeBoxAt scans net ni from scratch with object oi evaluated at a
-// tentative position (nx, ny) — the low-degree fast path of
-// displacedBox, where a full rebuild is cheaper than four incremental
-// boundary updates with their rescan fallbacks.
-func (p *Problem) computeBoxAt(ni, oi int32, nx, ny float64) netBox {
-	var b netBox
-	for k, oj := range p.netPins(ni) {
-		x, y := nx, ny
-		if oj != oi {
-			x, y = p.x[oj], p.y[oj]
-		}
-		if k == 0 {
-			b = netBox{xMin: x, xMax: x, yMin: y, yMax: y,
-				xMinN: 1, xMaxN: 1, yMinN: 1, yMaxN: 1}
-			continue
-		}
-		b.addPoint(x, y)
-	}
-	return b
-}
-
 // The scan{X,Y}{Min,Max} quartet recomputes a single boundary of net ni
 // with object oi evaluated at a tentative coordinate. A broken boundary
 // needs one comparison per pin this way, against eight for a full box
@@ -256,13 +240,14 @@ func (p *Problem) scanYMax(ni, oi int32, ny float64) (float64, int32) {
 	return max, cnt
 }
 
-// initBoxes (re)builds every cached box from current positions, after
-// refreshing the SoA mirror from the authoritative Obj fields. Callers
-// that move objects outside the annealing engine (force-directed
-// passes, the packer) must rebuild before incremental moves resume.
-// boxCostW caches each net's weighted cost (netW·hpwl) alongside, so
-// move evaluation subtracts a single cached float instead of reloading
-// the old box.
+// initBoxes (re)builds every cached box and cost from current
+// positions, after refreshing the SoA mirror from the authoritative Obj
+// and Net fields. Callers that move objects or reweight nets outside
+// the annealing engine (force-directed passes, the packer, the flow's
+// net weighting) are absorbed here: Anneal and Refine rebuild on
+// entry. boxCostW caches each net's weighted cost (netW·hpwl), so move
+// evaluation subtracts a single cached float instead of rebuilding the
+// old box; the boxes of nets below wideNet pins are never read again.
 func (p *Problem) initBoxes() {
 	p.syncSoA()
 	if cap(p.boxes) < len(p.Nets) {
@@ -278,52 +263,42 @@ func (p *Problem) initBoxes() {
 	}
 }
 
-// boxHPWL is the total weighted HPWL read from the cached boxes.
-func (p *Problem) boxHPWL() float64 {
-	total := 0.0
-	for i := range p.boxes {
-		total += p.netW[i] * p.boxes[i].hpwl()
-	}
-	return total
-}
+// wideNet is the degree from which a net keeps a cached box. Below it
+// a cost read straight from the pin positions is cheaper than four
+// boundary updates, and keeping a box nothing reads costs a write per
+// committed move.
+const wideNet = 4
 
-// box2 builds a two-point box directly. The box fold is
-// order-independent (boundaries are min/max selections, counts are
-// boundary multiplicities), so this matches computeBox bit for bit
-// whichever pin came first.
-func box2(x0, y0, x1, y1 float64) netBox {
-	b := netBox{xMin: x0, xMax: x0, yMin: y0, yMax: y0,
-		xMinN: 1, xMaxN: 1, yMinN: 1, yMaxN: 1}
-	b.addPoint(x1, y1)
-	return b
-}
-
-// displacedBox returns net ni's box after object oi moves (ox,oy) →
-// (nx,ny): each boundary is updated incrementally and only a broken one
-// is rescanned; nets of ≤3 pins skip straight to a scratch rebuild,
-// which is cheaper than four boundary updates at that size — and the
-// dominant 2-pin case never touches the cached box at all. The
-// object's stored position is never read — rescans substitute (nx,ny)
-// for oi — so the caller may leave it at (ox,oy).
-func (p *Problem) displacedBox(ni, oi int32, ox, oy, nx, ny float64) netBox {
-	if p.pinOff[ni+1]-p.pinOff[ni] == 2 {
-		pins := p.netPins(ni)
-		oo := pins[0]
-		if oo == oi {
-			oo = pins[1]
+// movedCost returns net ni's weighted cost with object oi moved from
+// (ox, oy) to (nx, ny); the object's stored position is never read.
+// Nets of 2 and 3 pins select their extremes straight from the pin
+// positions: |Δ| of two coordinates and max/min of three pick the
+// coordinates computeBox's comparisons select (positions are never NaN
+// or −0), so the cost matches it bit for bit. A wide net's box is
+// copied into s.boxes and updated there in place: each boundary
+// incrementally, a broken one by a rescan. commitSlot installs it on
+// acceptance.
+func (p *Problem) movedCost(ni, oi int32, ox, oy, nx, ny float64, s *slot) float64 {
+	pins := p.netPins(ni)
+	switch len(pins) {
+	case 2:
+		o := pins[0]
+		if o == oi {
+			o = pins[1]
 		}
-		return box2(nx, ny, p.x[oo], p.y[oo])
+		return p.netW[ni] * (math.Abs(nx-p.x[o]) + math.Abs(ny-p.y[o]))
+	case 3:
+		a, b := pins[0], pins[1]
+		if a == oi {
+			a = pins[2]
+		} else if b == oi {
+			b = pins[2]
+		}
+		xa, ya, xb, yb := p.x[a], p.y[a], p.x[b], p.y[b]
+		return p.netW[ni] * ((max(nx, xa, xb) - min(nx, xa, xb)) + (max(ny, ya, yb) - min(ny, ya, yb)))
 	}
-	return p.displacedBoxWide(ni, oi, ox, oy, nx, ny)
-}
-
-// displacedBoxWide is displacedBox for nets of ≥3 pins (the annealing
-// engine dispatches the 2-pin case itself, without building a box).
-func (p *Problem) displacedBoxWide(ni, oi int32, ox, oy, nx, ny float64) netBox {
-	if p.pinOff[ni+1]-p.pinOff[ni] == 3 {
-		return p.computeBoxAt(ni, oi, nx, ny)
-	}
-	nb := p.boxes[ni]
+	s.boxes = append(s.boxes, p.boxes[ni])
+	nb := &s.boxes[len(s.boxes)-1]
 	if !updMin(&nb.xMin, &nb.xMinN, ox, nx) {
 		nb.xMin, nb.xMinN = p.scanXMin(ni, oi, nx)
 	}
@@ -336,68 +311,5 @@ func (p *Problem) displacedBoxWide(ni, oi int32, ox, oy, nx, ny float64) netBox 
 	if !updMax(&nb.yMax, &nb.yMaxN, oy, ny) {
 		nb.yMax, nb.yMaxN = p.scanYMax(ni, oi, ny)
 	}
-	return nb
-}
-
-// computeBoxSwapped scans net ni with objects oi and oj evaluated at
-// each other's stored positions (nets shared by both ends of a swap,
-// where the incremental path cannot apply).
-func (p *Problem) computeBoxSwapped(ni, oi, oj int32) netBox {
-	xi, yi := p.x[oj], p.y[oj]
-	xj, yj := p.x[oi], p.y[oi]
-	var b netBox
-	for k, oo := range p.netPins(ni) {
-		var x, y float64
-		switch oo {
-		case oi:
-			x, y = xi, yi
-		case oj:
-			x, y = xj, yj
-		default:
-			x, y = p.x[oo], p.y[oo]
-		}
-		if k == 0 {
-			b = netBox{xMin: x, xMax: x, yMin: y, yMax: y,
-				xMinN: 1, xMaxN: 1, yMinN: 1, yMaxN: 1}
-			continue
-		}
-		b.addPoint(x, y)
-	}
-	return b
-}
-
-// displaceDelta returns the weighted-HPWL change of moving object oi to
-// (nx, ny) without touching any state; the tentative boxes and costs of
-// the object's nets are left in p.tentBoxes/p.tentCosts for
-// commitDisplace.
-func (p *Problem) displaceDelta(oi int32, nx, ny float64) float64 {
-	ox, oy := p.x[oi], p.y[oi]
-	nets := p.objNets(oi)
-	if cap(p.tentBoxes) < len(nets) {
-		p.tentBoxes = make([]netBox, len(nets))
-		p.tentCosts = make([]float64, len(nets))
-	}
-	p.tentBoxes = p.tentBoxes[:len(nets)]
-	p.tentCosts = p.tentCosts[:len(nets)]
-	delta := 0.0
-	for k, ni := range nets {
-		nb := p.displacedBox(ni, oi, ox, oy, nx, ny)
-		c := p.netW[ni] * nb.hpwl()
-		p.tentBoxes[k] = nb
-		p.tentCosts[k] = c
-		delta += c - p.boxCostW[ni]
-	}
-	return delta
-}
-
-// commitDisplace applies the move computed by the immediately preceding
-// displaceDelta call.
-func (p *Problem) commitDisplace(oi int32, nx, ny float64) {
-	p.x[oi], p.y[oi] = nx, ny
-	o := &p.Objs[oi]
-	o.X, o.Y = nx, ny
-	for k, ni := range p.objNets(oi) {
-		p.boxes[ni] = p.tentBoxes[k]
-		p.boxCostW[ni] = p.tentCosts[k]
-	}
+	return p.netW[ni] * nb.hpwl()
 }

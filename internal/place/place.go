@@ -6,11 +6,12 @@
 package place
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"vpga/internal/netlist"
 	"vpga/internal/obs"
@@ -45,12 +46,11 @@ type Problem struct {
 	blocked func(x, y float64) bool // defective sites (nil = clean die)
 
 	// Incremental cost kernel state (see incremental.go): cached net
-	// boxes plus the flat SoA mirror the kernel runs on — coordinate
-	// and weight arrays and the net↔object adjacency in CSR form.
-	boxes     []netBox
+	// costs and wide-net boxes plus the flat SoA mirror the kernel runs
+	// on — coordinate and weight arrays and the net↔object adjacency in
+	// CSR form.
+	boxes     []netBox  // per-net box, maintained for nets of ≥ wideNet pins
 	boxCostW  []float64 // per-net weighted cost cache (netW·hpwl)
-	tentBoxes []netBox
-	tentCosts []float64
 	x, y      []float64
 	netW      []float64
 	pinIdx    []int32 // net -> member objects, CSR values
@@ -303,6 +303,7 @@ func (p *Problem) ForceDirected(passes int) {
 	sumX := make([]float64, len(p.Objs))
 	sumY := make([]float64, len(p.Objs))
 	cnt := make([]float64, len(p.Objs))
+	keys := make([]rankKey, len(movable))
 	for pass := 0; pass < passes; pass++ {
 		for i := range sumX {
 			sumX[i], sumY[i], cnt[i] = 0, 0, 0
@@ -330,28 +331,46 @@ func (p *Problem) ForceDirected(passes int) {
 				p.Objs[oi].Y = sumY[oi] / cnt[oi]
 			}
 		}
-		p.quantileSpread(movable)
+		p.quantileSpread(movable, keys)
 	}
 }
 
 // quantileSpread redistributes movable objects so each axis is
 // uniformly occupied while preserving relative order (a monotone
-// stretch), undoing the centroid collapse of a force pass.
-func (p *Problem) quantileSpread(movable []int32) {
-	byX := append([]int32(nil), movable...)
-	sortBy(byX, func(a, b int32) bool { return p.Objs[a].X < p.Objs[b].X })
-	for rank, oi := range byX {
-		p.Objs[oi].X = (float64(rank) + 0.5) / float64(len(byX)) * p.W
+// stretch), undoing the centroid collapse of a force pass. Ties keep
+// object index order. keys is scratch of len(movable).
+func (p *Problem) quantileSpread(movable []int32, keys []rankKey) {
+	scale := func(rank int) float64 { return (float64(rank) + 0.5) / float64(len(keys)) }
+	for i, oi := range movable {
+		keys[i] = rankKey{p.Objs[oi].X, oi}
 	}
-	byY := append([]int32(nil), movable...)
-	sortBy(byY, func(a, b int32) bool { return p.Objs[a].Y < p.Objs[b].Y })
-	for rank, oi := range byY {
-		p.Objs[oi].Y = (float64(rank) + 0.5) / float64(len(byY)) * p.H
+	sortRankKeys(keys)
+	for rank, k := range keys {
+		p.Objs[k.oi].X = scale(rank) * p.W
+	}
+	for i, oi := range movable {
+		keys[i] = rankKey{p.Objs[oi].Y, oi}
+	}
+	sortRankKeys(keys)
+	for rank, k := range keys {
+		p.Objs[k.oi].Y = scale(rank) * p.H
 	}
 }
 
-func sortBy(xs []int32, less func(a, b int32) bool) {
-	sort.SliceStable(xs, func(i, j int) bool { return less(xs[i], xs[j]) })
+// rankKey is one object's coordinate on the axis being spread.
+type rankKey struct {
+	v  float64
+	oi int32
+}
+
+// sortRankKeys orders keys by coordinate, ties by object index.
+func sortRankKeys(keys []rankKey) {
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.oi, b.oi)
+	})
 }
 
 // netHPWL computes one net's half-perimeter wirelength.
@@ -385,14 +404,10 @@ func (p *Problem) HPWL() float64 {
 }
 
 // SetNetWeight scales net i's cost contribution (timing criticality).
+// The annealing kernel picks the weight up when Anneal or Refine next
+// rebuilds its caches.
 func (p *Problem) SetNetWeight(i int, w float64) {
 	p.Nets[i].Weight = w
-	if p.netW != nil {
-		p.netW[i] = w
-	}
-	if i < len(p.boxCostW) {
-		p.boxCostW[i] = w * p.boxes[i].hpwl()
-	}
 }
 
 // Anneal runs the global simulated-annealing placement. When
@@ -423,10 +438,10 @@ func (p *Problem) Anneal(opts Options) error {
 	rng := rand.New(rand.NewSource(opts.Seed + 7))
 	p.evictBlocked(rng, movable)
 	p.initBoxes()
-	temp := p.estimateInitialTemp(rng, movable) * 0.05
+	e := p.engine(workers)
+	temp := p.estimateInitialTemp(rng, movable, &e.slots[0]) * 0.05
 	window := math.Max(p.W, p.H) * 0.15
 	minTemp := temp * 1e-4
-	e := p.engine(workers)
 	var pool *annealPool
 	if workers > 1 {
 		pool = p.startPool(workers)
@@ -490,17 +505,18 @@ func (p *Problem) movable() []int32 {
 	return p.movableCache
 }
 
-// estimateInitialTemp samples random long-range displacements and
-// averages their |ΔHPWL|; the running sum replaces the old per-call
-// deltas slice. Requires valid boxes.
-func (p *Problem) estimateInitialTemp(rng *rand.Rand, movable []int32) float64 {
+// estimateInitialTemp samples random long-range displacements through
+// the engine's evaluator (slot s is scratch) and averages their
+// |ΔHPWL|. Requires valid boxes.
+func (p *Problem) estimateInitialTemp(rng *rand.Rand, movable []int32, s *slot) float64 {
 	sum := 0.0
 	n := 0
 	for i := 0; i < 50 && i < len(movable); i++ {
 		oi := movable[rng.Intn(len(movable))]
 		nx := rng.Float64() * p.W
 		ny := rng.Float64() * p.H
-		sum += math.Abs(p.displaceDelta(oi, nx, ny))
+		p.evalMove(oi, nx, ny, s)
+		sum += math.Abs(s.delta)
 		n++
 	}
 	if n == 0 || sum == 0 {
@@ -512,7 +528,9 @@ func (p *Problem) estimateInitialTemp(rng *rand.Rand, movable []int32) float64 {
 // Refine runs zero-temperature local improvement with a small window;
 // the packer invokes it after restricting objects to regions. Boxes
 // are rebuilt on entry because callers (packer, net reweighting flows)
-// may have moved objects since the last incremental update.
+// may have moved objects since the last incremental update. Moves go
+// through the engine's evaluator and commit, at temperature 0: a move
+// is kept when it does not raise the cost.
 func (p *Problem) Refine(windowFrac float64, passes int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	movable := p.movable()
@@ -520,18 +538,19 @@ func (p *Problem) Refine(windowFrac float64, passes int, seed int64) {
 		return
 	}
 	p.initBoxes()
+	e := p.engine(1)
+	s := &e.slots[0]
 	window := math.Max(p.W, p.H) * windowFrac
 	for pass := 0; pass < passes; pass++ {
 		for _, oi := range movable {
 			p.stats.Proposed++
-			o := &p.Objs[oi]
-			nx := clamp(o.X+(rng.Float64()*2-1)*window, 0, p.W)
-			ny := clamp(o.Y+(rng.Float64()*2-1)*window, 0, p.H)
+			nx := clamp(p.x[oi]+(rng.Float64()*2-1)*window, 0, p.W)
+			ny := clamp(p.y[oi]+(rng.Float64()*2-1)*window, 0, p.H)
 			if p.blocked != nil && p.blocked(nx, ny) {
 				continue
 			}
-			if p.displaceDelta(oi, nx, ny) <= 0 {
-				p.commitDisplace(oi, nx, ny)
+			p.evalMove(oi, nx, ny, s)
+			if p.commitSlot(e, s, 0) {
 				p.stats.Accepted++
 			}
 		}

@@ -136,6 +136,7 @@ type rawResponse struct {
 	Error     string          `json:"error"`
 	Stage     string          `json:"stage"`
 	ErrorKind string          `json:"error_kind"`
+	TraceID   string          `json:"trace_id"`
 	Result    json.RawMessage `json:"result"`
 }
 
@@ -536,7 +537,7 @@ func TestChaosCoordinatorKillRestart(t *testing.T) {
 	dataDir := t.TempDir()
 	victim := startChaosDaemon(t, dataDir, workersEnv)
 	code, jr := httpJSON(t, "POST", victim.base+"/v1/matrix", chaosMatrixBody)
-	if code != http.StatusAccepted || !strings.HasPrefix(jr.ID, "c") {
+	if code != http.StatusAccepted || !strings.HasPrefix(jr.ID, "c") || jr.TraceID == "" {
 		t.Fatalf("cluster matrix submission: status %d %+v", code, jr)
 	}
 	// Kill once tickets are out, while the matrix is still in flight.
@@ -575,6 +576,9 @@ func TestChaosCoordinatorKillRestart(t *testing.T) {
 	}
 	if replayed.Status != "done" {
 		t.Fatalf("replayed cluster matrix failed: %s", replayed.Error)
+	}
+	if replayed.TraceID != jr.TraceID {
+		t.Fatalf("replayed job's trace_id %q, before the kill %q", replayed.TraceID, jr.TraceID)
 	}
 	checkMatrixGolden(t, replayed.Result)
 	hz, err := http.Get(revived.base + "/healthz")

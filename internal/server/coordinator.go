@@ -681,7 +681,7 @@ type ticketFunc func(req core.FlowRequest, label string) (*core.Report, error)
 // tier a chain of cells could share.
 func (run ticketFunc) cells(ticket func(core.Cell) (core.FlowRequest, string)) core.CellRunner {
 	cell := func(c core.Cell) (*core.Report, error) { return run(ticket(c)) }
-	return core.CellRunner{Lane: func(body func(core.CellFunc)) { body(cell) }}
+	return core.CellRunner{Lane: func(_ float64, body func(core.CellFunc)) { body(cell) }}
 }
 
 // cellTickets runs each cell as a run ticket. A failed ticket comes

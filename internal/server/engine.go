@@ -73,7 +73,8 @@ type job struct {
 	tenant   string
 	// traceID is the distributed trace the job belongs to: echoed from
 	// the X-Vpga-Trace header a submission carried, or minted by the
-	// coordinator per client job ("" = untraced).
+	// coordinator per client job ("" = untraced). It is journaled with
+	// the job, so a replayed job keeps it.
 	traceID string
 	tracer  *obs.Tracer // stage spans and the SSE event stream
 	trace   *jobTrace   // the coordinator's dispatch record (nil on a worker)
@@ -317,7 +318,7 @@ func (e *engine) replay(entries []journalEntry) {
 			// the client's resubmission will be validated afresh.
 			continue
 		}
-		j := e.newJob(sp, "", a.entry.Priority, a.entry.Tenant)
+		j := e.newJob(sp, a.entry.TraceID, a.entry.Priority, a.entry.Tenant)
 		j.id, j.replayed = id, true
 		jobs = append(jobs, j)
 		en := a.entry
@@ -545,7 +546,7 @@ func (e *engine) submit(j *job) (*job, int, error) {
 	e.inflight[j.key] = j
 	if e.journal != nil && j.body != nil {
 		en := journalEntry{ID: j.id, State: "accepted", Kind: j.kind.name, Key: j.key, Body: j.body,
-			Priority: j.priority, Tenant: j.tenant}
+			Priority: j.priority, Tenant: j.tenant, TraceID: j.traceID}
 		e.retryIO(func() error { return e.journal.append(en, true) })
 	}
 	e.launch(j)

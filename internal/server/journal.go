@@ -48,6 +48,8 @@ type journalEntry struct {
 	// A coordinator job's batch scheduling coordinates.
 	Priority int    `json:"priority,omitempty"`
 	Tenant   string `json:"tenant,omitempty"`
+	// The distributed trace the job belongs to, kept across a restart.
+	TraceID string `json:"trace_id,omitempty"`
 	// Failure fields, populated on "failed" only.
 	Error string `json:"error,omitempty"`
 	Stage string `json:"stage,omitempty"`

@@ -110,8 +110,8 @@ func TestStoreCorruptEntryRecomputes(t *testing.T) {
 // TestJournalReplayReenqueues is the crash-recovery property at the
 // unit level: an accepted entry with no terminal entry — the exact
 // state a SIGKILL leaves — is rebuilt at startup, re-enqueued under
-// its original ID, runs to completion, and the ID sequence resumes
-// past it.
+// its original ID and trace ID, runs to completion, and the ID sequence
+// resumes past it.
 func TestJournalReplayReenqueues(t *testing.T) {
 	dataDir := t.TempDir()
 	key := runKey(t)
@@ -121,6 +121,7 @@ func TestJournalReplayReenqueues(t *testing.T) {
 	}
 	if err := jn.append(journalEntry{
 		ID: "j000042", State: "accepted", Kind: "run", Key: key, Body: []byte(runBody),
+		TraceID: "00c0ffee00c0ffee",
 	}, true); err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +149,9 @@ func TestJournalReplayReenqueues(t *testing.T) {
 	}
 	if jr.Status != "done" {
 		t.Fatalf("replayed job failed: %s", jr.Error)
+	}
+	if jr.TraceID != "00c0ffee00c0ffee" {
+		t.Fatalf("replayed job's trace_id %q, journaled 00c0ffee00c0ffee", jr.TraceID)
 	}
 	if s.stats().JournalReplayedJobs != 1 {
 		t.Fatalf("replayed jobs = %d", s.stats().JournalReplayedJobs)
