@@ -63,6 +63,16 @@ func (c *lru) put(key string, val any) {
 	}
 }
 
+// remove drops the key's entry, if any.
+func (c *lru) remove(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[key]; ok {
+		c.ll.Remove(el)
+		delete(c.m, key)
+	}
+}
+
 // evictions reports capacity evictions since startup.
 func (c *lru) evictions() int64 {
 	return c.evicted.Load()

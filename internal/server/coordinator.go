@@ -36,6 +36,12 @@ type Coordinator struct {
 	order   []string // node bases in Options order, for stable rollups
 	sched   *scheduler
 	runners sync.WaitGroup // ticket runners and the health loop
+	// ranOn maps the content address of each ticket that completed off
+	// its key's ring owner (a steal) to the node that ran it, so a
+	// replay fetches the result there instead of recomputing it; it
+	// keeps the 1024 most recently used entries. Ticket runners write
+	// it while the jobs' lanes read it.
+	ranOn *lru
 
 	tickets, ticketRetries atomic.Int64
 	workerCacheHits        atomic.Int64
@@ -87,7 +93,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.healthInterval == 0 {
 		opts.healthInterval = 2 * time.Second
 	}
-	c := &Coordinator{opts: opts, nodes: make(map[string]*nodeClient, len(opts.Workers))}
+	c := &Coordinator{opts: opts, nodes: make(map[string]*nodeClient, len(opts.Workers)), ranOn: newLRU(1024)}
 	for _, w := range opts.Workers {
 		n := newNodeClient(w)
 		if _, dup := c.nodes[n.base]; dup {
@@ -473,6 +479,9 @@ func (c *Coordinator) dispatch(n *nodeClient, t *ticket) {
 		if env.Cached {
 			c.workerCacheHits.Add(1)
 		}
+		if env.Status == "done" && n.base != c.ring.owner(t.key) {
+			c.ranOn.put(t.key, n.base)
+		}
 		record(env.ID, env.Cached, env.Error)
 		t.deliver(ticketOutcome{env: env})
 	default:
@@ -593,24 +602,25 @@ func (c *Coordinator) healthLoop() {
 	}
 }
 
-// runTicket is the blocking ticket helper the coordinator's jobs use:
-// peer cache lookup on the key's owner first — a result the cluster
-// already computed is fetched, not recomputed — then enqueue and wait.
-// The owning job supplies the scheduling coordinates (priority,
-// tenant) and the trace context; name labels the ticket on the merged
-// timeline, and k's route is where the ticket goes.
+// runTicket is the blocking ticket helper the coordinator's jobs use.
+// A result the cluster already computed is fetched, not recomputed:
+// from the node a steal left it on, then from the key's ring owner.
+// Only when both miss is the ticket enqueued and awaited; a miss or a
+// down node also forgets the off-owner entry. The owning job supplies
+// the scheduling coordinates (priority, tenant) and the trace context;
+// name labels the ticket on the merged timeline, and k's route is
+// where the ticket goes.
 func (c *Coordinator) runTicket(ctx context.Context, j *job, name string, k *kind, body []byte, key string) (*rawEnvelope, error) {
 	c.tickets.Add(1)
-	if owner := c.ring.owner(key); owner != "" && !c.nodes[owner].down.Load() {
-		start := j.trace.since()
-		lctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		raw, ok := c.nodes[owner].cacheGet(lctx, key)
-		cancel()
-		if ok {
-			c.peerHits.Add(1)
-			j.trace.ticket(ticketRecord{name: name, node: owner, start: start, end: j.trace.since(), cached: true})
-			return &rawEnvelope{Status: "done", Cached: true, Result: raw}, nil
+	owner := c.ring.owner(key)
+	if ran, ok := c.ranOn.get(key); ok && ran != owner {
+		if env, hit := c.fetch(ctx, j, name, ran.(string), key); hit {
+			return env, nil
 		}
+		c.ranOn.remove(key)
+	}
+	if env, hit := c.fetch(ctx, j, name, owner, key); hit {
+		return env, nil
 	}
 	c.peerMisses.Add(1)
 	t := &ticket{
@@ -630,6 +640,25 @@ func (c *Coordinator) runTicket(ctx context.Context, j *job, name string, k *kin
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// fetch asks one node's cache for the key's result; an unknown ("" —
+// no live node) or down node is a miss.
+func (c *Coordinator) fetch(ctx context.Context, j *job, name, node, key string) (*rawEnvelope, bool) {
+	n := c.nodes[node]
+	if n == nil || n.down.Load() {
+		return nil, false
+	}
+	start := j.trace.since()
+	lctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	raw, ok := n.cacheGet(lctx, key)
+	cancel()
+	if !ok {
+		return nil, false
+	}
+	c.peerHits.Add(1)
+	j.trace.ticket(ticketRecord{name: name, node: node, start: start, end: j.trace.since(), cached: true})
+	return &rawEnvelope{Status: "done", Cached: true, Result: raw}, true
 }
 
 // ---------------------------------------------------------------------------
@@ -690,11 +719,11 @@ func (run ticketFunc) cells(ticket func(core.Cell) (core.FlowRequest, string)) c
 // ledgers it.
 func (c *Coordinator) cellTickets(ctx context.Context, j *job) ticketFunc {
 	return func(req core.FlowRequest, label string) (*core.Report, error) {
-		body, err := json.Marshal(req)
+		body, key, err := cellTicket(req)
 		if err != nil {
 			return nil, err
 		}
-		env, err := c.runTicket(ctx, j, label, runKind, body, mustKey(req))
+		env, err := c.runTicket(ctx, j, label, runKind, body, key)
 		switch {
 		case err != nil:
 			return nil, err
@@ -713,14 +742,17 @@ func (c *Coordinator) cellTickets(ctx context.Context, j *job) ticketFunc {
 	}
 }
 
-// mustKey content-addresses an already-normalized cell request; cells
-// are canonical by construction, so this cannot fail at runtime.
-func mustKey(req core.FlowRequest) string {
-	key, err := req.CacheKey()
-	if err != nil {
-		panic(fmt.Sprintf("server: matrix cell has no content address: %v", err))
+// cellTicket encodes a composite cell as a run ticket: the body a
+// worker receives and the key the worker derives from it. The plan
+// built the cell in canonical form and the composite's check validated
+// the job at parse, so the cell is keyed as kind.spec keys a parsed
+// run, without validating it again.
+func cellTicket(req core.FlowRequest) (body []byte, key string, err error) {
+	if body, err = json.Marshal(req); err != nil {
+		return nil, "", err
 	}
-	return key
+	key, err = core.CanonicalKey(runKind.name, req)
+	return body, key, err
 }
 
 // writeTrace serves GET /v1/jobs/{id}/trace: the job's merged

@@ -88,6 +88,7 @@ func TestValidationParity(t *testing.T) {
 		{"sweep/routing", "/v1/sweeps/routing", `{"design":"alu","capacities":[0]}`},
 		{"sweep/routing", "/v1/sweeps/routing", `{"design":"alu","arch":{"kind":"nope"}}`},
 		{"run", "/v1/runs", `{"design":"alu","sede":3}`},
+		{"matrix", "/v1/matrix", `{"place_effort":-1}`},
 	} {
 		wCode, w := httpJSON(t, "POST", worker.URL+tc.path, tc.body)
 		cCode, co := httpJSON(t, "POST", coord.URL+tc.path, tc.body)

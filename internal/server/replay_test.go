@@ -1,0 +1,296 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"vpga/internal/core"
+)
+
+// TestCellTicketKeysMatchWorkerKeys: the key a coordinator derives for
+// a composite cell is the key a worker derives when it parses the
+// cell's body. If the two ever drift, every replay misses the workers'
+// caches and silently recomputes. The cells are the ones fanOut ships:
+// every matrix cell at both scales, with a non-integer pinned clock
+// and the defect knobs, and every granularity-sweep cell over the
+// default family, a custom arch and inline RTL.
+func TestCellTicketKeysMatchWorkerKeys(t *testing.T) {
+	// Every pin reports a clock (a sweep's) and an arrival (a matrix's,
+	// times 1.2) that pin its dependents to non-integer clocks.
+	pin := core.Report{ClockPeriod: 1234.5678, MaxArrival: 1028.8065}
+	var (
+		mu    sync.Mutex
+		cells []core.FlowRequest
+	)
+	record := ticketFunc(func(req core.FlowRequest, _ string) (*core.Report, error) {
+		mu.Lock()
+		cells = append(cells, req)
+		mu.Unlock()
+		rep := pin
+		return &rep, nil
+	})
+	ctx := context.Background()
+	for _, body := range []string{
+		`{}`,
+		`{"scale":"paper","seed":7,"place_effort":3}`,
+		`{"seed":3,"place_effort":1,"defect_rate":0.3,"defect_seed":3,"repair_budget":-1}`,
+		`{"scale":"paper","seed":2,"defect_rate":0.02,"defect_seed":9}`,
+	} {
+		sp, err := parseSpec("matrix", []byte(body))
+		if err != nil {
+			t.Fatalf("matrix %s: %v", body, err)
+		}
+		before := len(cells)
+		if _, err := sp.req.(composite).fanOut(ctx, record, nil); err != nil {
+			t.Fatalf("matrix %s: %v", body, err)
+		}
+		if n := len(cells) - before; n != 16 {
+			t.Fatalf("matrix %s shipped %d cells, want 16", body, n)
+		}
+	}
+	for _, body := range []string{
+		`{"design":"alu","seed":5}`,
+		`{"design":"fir","scale":"paper","archs":[{"kind":"custom","name":"wide","mux":4,"xoa":2,"nand":2,"lut":1,"ff":2},{"kind":"lut"}]}`,
+		`{"rtl":"module m(input a, input b, output y); assign y = a & b; endmodule","seed":1,` +
+			`"archs":[{"kind":"granular"},{"kind":"custom","mux":2,"xoa":1,"nand":1,"ff":1}]}`,
+	} {
+		sp, err := parseSpec("sweep/granularity", []byte(body))
+		if err != nil {
+			t.Fatalf("sweep %s: %v", body, err)
+		}
+		if _, err := sp.req.(composite).fanOut(ctx, record, nil); err != nil {
+			t.Fatalf("sweep %s: %v", body, err)
+		}
+	}
+	pinned := 0
+	for _, req := range cells {
+		body, key, err := cellTicket(req)
+		if err != nil {
+			t.Fatalf("cell %+v: %v", req, err)
+		}
+		sp, err := runKind.spec(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("a worker refuses cell %s: %v", body, err)
+		}
+		if sp.key != key {
+			t.Errorf("cell %s: coordinator key %s, worker key %s", body, key, sp.key)
+		}
+		if req.ClockPeriod != math.Trunc(req.ClockPeriod) {
+			pinned++
+		}
+	}
+	if want := 4*16 + 6 + 2 + 2; len(cells) != want {
+		t.Fatalf("checked %d cells, want %d", len(cells), want)
+	}
+	if want := 4*12 + 5 + 1 + 1; pinned != want {
+		t.Fatalf("%d cells pinned to the non-integer clock, want %d", pinned, want)
+	}
+}
+
+// TestOffOwnerResultFetchedWhereItRan: a cell stolen from its ring
+// owner leaves its result on the thief, and a replay fetches it there
+// instead of recomputing it. With the entry gone the replay falls back
+// to the owner, and with the thief down to the owner and then to
+// compute. The workers have no peer tier, so a node answers only for
+// what it computed itself.
+func TestOffOwnerResultFetchedWhereItRan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix runs in -short mode")
+	}
+	// A blocker run holds its owner's only slot, so the owner's
+	// coordinator lane stays busy and the other node steals every
+	// ticket homed there.
+	const blockerBody = `{"design":"alu","seed":99,"place_effort":1}`
+	blocker, err := runKind.spec(strings.NewReader(blockerBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	var heldOnce, releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // a failed test must not leave a worker job blocked
+	hold := func(j *job) {
+		if j.key == blocker.key {
+			heldOnce.Do(func() { close(held) })
+			<-release
+		}
+	}
+	srv := make(map[string]*Server)
+	var urls []string
+	for i := 0; i < 2; i++ {
+		s, ts := newTestServer(t, Options{Workers: 1, testJobStart: hold})
+		srv[ts.URL], urls = s, append(urls, ts.URL)
+	}
+	c, cts := newTestCoordinator(t, CoordinatorOptions{Workers: urls, NodeConcurrency: 1, CacheSize: 1})
+	owner := c.ring.owner(blocker.key)
+	thief := urls[0]
+	if thief == owner {
+		thief = urls[1]
+	}
+
+	// The first matrix's seed is picked so the blocked owner owns at
+	// least one pin: at least one of its cells is stolen.
+	seed := int64(1)
+	for ; ; seed++ {
+		plan := core.MatrixPlan{Scale: "test", Seed: seed, PlaceEffort: 1}
+		owned := 0
+		for _, d := range core.MatrixDesignNames() {
+			_, key, err := cellTicket(plan.PinTicket(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.ring.owner(key) == owner {
+				owned++
+			}
+		}
+		if owned > 0 {
+			break
+		}
+	}
+	m1 := fmt.Sprintf(`{"seed":%d,"place_effort":1}`, seed)
+	// m2 is a different matrix (its own composite key, so it evicts m1
+	// from the one-entry composite cache) over the same cells.
+	m2 := fmt.Sprintf(`{"seed":%d,"place_effort":1,"continue_on_error":true}`, seed)
+
+	if code, jr := httpJSON(t, "POST", cts.URL+"/v1/runs", blockerBody); code != http.StatusAccepted {
+		t.Fatalf("blocker run: status %d (%s)", code, jr.Error)
+	}
+	select {
+	case <-held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the blocker run never reached its owner")
+	}
+	code, cold := httpJSON(t, "POST", cts.URL+"/v1/matrix?wait=1", m1)
+	if code != http.StatusOK || cold.Status != "done" {
+		t.Fatalf("cold matrix: status %d job %q (%s)", code, cold.Status, cold.Error)
+	}
+	unblock()
+	if code, jr := httpJSON(t, "POST", cts.URL+"/v1/runs?wait=1", blockerBody); code != http.StatusOK || jr.Status != "done" {
+		t.Fatalf("blocker run: status %d job %q (%s)", code, jr.Status, jr.Error)
+	}
+	stolen := c.steals.Load()
+	if stolen == 0 || c.ranOn.len() != int(stolen) {
+		t.Fatalf("%d tickets stolen, %d off-owner entries; want > 0 and equal", stolen, c.ranOn.len())
+	}
+	var keys []string
+	c.ranOn.mu.Lock()
+	for key, el := range c.ranOn.m {
+		if node := el.Value.(*lruEntry).val; node != thief || c.ring.owner(key) != owner {
+			t.Errorf("off-owner entry %s: ran on %v, owned by %s; want ran on %s, owned by %s",
+				key, node, c.ring.owner(key), thief, owner)
+		}
+		keys = append(keys, key)
+	}
+	c.ranOn.mu.Unlock()
+
+	// replay posts a matrix that misses the composite cache and asserts
+	// which tickets it dispatched to each node and how many cells each
+	// node served from its cache.
+	replay := func(body string, dispatched, served map[string]int64) {
+		t.Helper()
+		d0, s0 := map[string]int64{}, map[string]int64{}
+		for _, u := range urls {
+			d0[u], s0[u] = c.nodes[u].dispatched.Load(), srv[u].peerServed.Load()
+		}
+		hits := c.cacheHits.Load()
+		code, jr := httpJSON(t, "POST", cts.URL+"/v1/matrix?wait=1", body)
+		if code != http.StatusOK || jr.Status != "done" {
+			t.Fatalf("replay %s: status %d job %q (%s)", body, code, jr.Status, jr.Error)
+		}
+		if c.cacheHits.Load() != hits {
+			t.Fatalf("replay %s hit the composite cache", body)
+		}
+		if !bytes.Equal(jr.Result, cold.Result) {
+			t.Fatalf("replay %s is not byte-identical to the cold matrix", body)
+		}
+		for _, u := range urls {
+			if d := c.nodes[u].dispatched.Load() - d0[u]; d != dispatched[u] {
+				t.Errorf("replay %s dispatched %d tickets to %s, want %d", body, d, u, dispatched[u])
+			}
+			if s := srv[u].peerServed.Load() - s0[u]; s != served[u] {
+				t.Errorf("replay %s: %s served %d cells from its cache, want %d", body, u, s, served[u])
+			}
+		}
+	}
+	// Every cell now lives on the thief: a replay dispatches nothing.
+	replay(m2, nil, map[string]int64{thief: 16})
+	replay(m1, nil, map[string]int64{thief: 16})
+
+	// Entry gone: the owner misses, and the cell computes there.
+	c.ranOn.remove(keys[0])
+	replay(m2, map[string]int64{owner: 1}, map[string]int64{thief: 15})
+
+	// Thief down: its entries go, and every cell falls to the owner,
+	// which serves the one it computed and computes the rest.
+	c.markDown(c.nodes[thief])
+	replay(m1, map[string]int64{owner: 15}, map[string]int64{owner: 1})
+	if n := c.ranOn.len(); n != 0 {
+		t.Fatalf("%d off-owner entries survive their node going down", n)
+	}
+}
+
+// BenchmarkCoordinatorMatrixReplay times a warm cluster replay of the
+// Table 1/2 matrix, set up as perf's cluster-matrix workload is: a
+// coordinator (two tickets in flight per node, a one-entry composite
+// cache) over two single-slot workers that form a peer-cache ring. Two
+// warm matrices replay alternately, so every replay misses the
+// composite cache and resolves its 16 cells from the workers' caches.
+func BenchmarkCoordinatorMatrixReplay(b *testing.B) {
+	wts := make([]*httptest.Server, 2)
+	urls := make([]string, len(wts))
+	for i := range wts {
+		wts[i] = httptest.NewUnstartedServer(nil)
+		urls[i] = "http://" + wts[i].Listener.Addr().String()
+	}
+	for i, ts := range wts {
+		s, err := New(Options{Workers: 1, PeerLookup: NewPeerLookup(urls[i], urls)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts.Config.Handler = s
+		ts.Start()
+		defer s.Shutdown(context.Background())
+		defer ts.Close()
+	}
+	c, err := NewCoordinator(CoordinatorOptions{Workers: urls, NodeConcurrency: 2, CacheSize: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Shutdown(context.Background())
+	cts := httptest.NewServer(c)
+	defer cts.Close()
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	post := func(body string) {
+		resp, err := client.Post(cts.URL+"/v1/matrix?wait=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var jr rawResponse
+		err = json.NewDecoder(resp.Body).Decode(&jr)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || jr.Status != "done" {
+			b.Fatalf("matrix %s: status %q (%s), decode error %v", body, jr.Status, jr.Error, err)
+		}
+	}
+	matrices := []string{`{"seed":1,"place_effort":3}`, `{"seed":2,"place_effort":3}`}
+	for _, m := range matrices {
+		post(m) // cold
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(matrices[i%2])
+	}
+}

@@ -183,11 +183,16 @@ func (r MatrixRequest) normalize() MatrixRequest {
 	return r
 }
 
-// check validates the matrix; its canonical form zeroes the Parallel
-// knob, which never changes the result.
+// check validates the matrix — every rule core.FlowRequest.Validate
+// applies to the knobs its cells inherit, since a coordinator keys and
+// ships the cells without validating them again — and its canonical
+// form zeroes the Parallel knob, which never changes the result.
 func (r MatrixRequest) check() (any, string, error) {
 	if r.Scale != "" && r.Scale != "test" && r.Scale != "paper" {
 		return nil, "", fmt.Errorf("unknown scale %q (want test or paper)", r.Scale)
+	}
+	if r.PlaceEffort < 0 {
+		return nil, "", fmt.Errorf("negative place_effort %d", r.PlaceEffort)
 	}
 	if r.DefectRate < 0 || r.DefectRate >= 1 {
 		return nil, "", fmt.Errorf("defect_rate %g outside [0,1)", r.DefectRate)
