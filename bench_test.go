@@ -294,6 +294,31 @@ func BenchmarkGlobalRouting(b *testing.B) {
 	}
 }
 
+// BenchmarkRouteCongested measures the router on the route-sweep
+// workload's problem: Switch(8,16,4) packed once (granular, flow b,
+// seed 1), then routed at capacities 4, 8, 16 and 32 per iteration
+// through one pool. The narrow channels run every negotiation
+// iteration, so the A* kernel dominates.
+func BenchmarkRouteCongested(b *testing.B) {
+	d := bench.Switch(8, 16, 4)
+	res, err := core.Run(context.Background(), core.FlowRequest{RTL: d.RTL, Name: d.Name,
+		Arch: core.ArchSpec{Kind: "granular"}, Flow: "b", Seed: 1}, core.ExecOptions{WantArtifacts: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prob := res.Artifacts.Prob
+	pool := route.NewPool()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range []int{4, 8, 16, 32} {
+			if _, err := route.Route(prob, route.Options{Capacity: c, Pool: pool}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkSTA(b *testing.B) {
 	d := benchDesign(b)
 	d.Optimize(3)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"vpga/internal/cells"
 	"vpga/internal/logic"
 	"vpga/internal/netlist"
+	"vpga/internal/route"
 )
 
 func TestInsertBuffersCapsFanout(t *testing.T) {
@@ -166,6 +168,25 @@ func TestRoutingSweepMonotonicity(t *testing.T) {
 	}
 	if !strings.Contains(FormatRoutingSweep("ALU", pts), "tracks") {
 		t.Error("format broken")
+	}
+}
+
+// TestRoutingSweepRejectsCapacityOutOfRange: a capacity outside 1 to
+// route.MaxCapacity tracks fails before the sweep runs its flow. Track
+// assignment allocates a bit per track on every grid edge, so an
+// unchecked width is an unbounded allocation. The context is already
+// cancelled, so an error from the flow would be a cancellation.
+func TestRoutingSweepRejectsCapacityOutOfRange(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, caps := range [][]int{{0}, {4, route.MaxCapacity + 1}} {
+		_, err := RunRoutingSweep(ctx, bench.ALU(8), cells.GranularPLB(), caps, SweepOptions{Seed: 3})
+		if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "capacity") {
+			t.Errorf("capacities %v: error %v, want a capacity error", caps, err)
+		}
+	}
+	if err := CheckCapacities([]int{1, route.MaxCapacity}); err != nil {
+		t.Errorf("the bounds themselves are refused: %v", err)
 	}
 }
 

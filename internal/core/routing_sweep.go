@@ -21,6 +21,20 @@ type RoutingPoint struct {
 	AvgTopSlack float64
 }
 
+// CheckCapacities rejects a routing sweep capacity outside 1 to
+// route.MaxCapacity tracks: track assignment allocates a bit per track
+// on every grid edge, so an unbounded width is an unbounded
+// allocation. RunRoutingSweep checks its capacities with it, and so do
+// the daemons when they parse a sweep.
+func CheckCapacities(capacities []int) error {
+	for _, c := range capacities {
+		if c < 1 || c > route.MaxCapacity {
+			return fmt.Errorf("capacity %d outside [1, %d]", c, route.MaxCapacity)
+		}
+	}
+	return nil
+}
+
 // RunRoutingSweep explores the fabric's routing architecture — the
 // paper's closing future work ("future work will also focus on
 // exploring regular routing architectures for the VPGA fabric"): the
@@ -30,6 +44,9 @@ type RoutingPoint struct {
 // placement problem, so they route sequentially; opts.Parallel has no
 // effect here.
 func RunRoutingSweep(ctx context.Context, d bench.Design, arch *cells.PLBArch, capacities []int, opts SweepOptions) ([]RoutingPoint, error) {
+	if err := CheckCapacities(capacities); err != nil {
+		return nil, err
+	}
 	run := opts.Trace.NewRun("routing/" + d.Name + "/" + arch.Name)
 	defer run.Close()
 	// One pool serves the flow run and every capacity point: the grid

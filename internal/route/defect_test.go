@@ -37,7 +37,7 @@ func TestPQMatchesContainerHeap(t *testing.T) {
 		seed := make([]pqItem, n)
 		for i := range seed {
 			f := float64(rng.Intn(20)) // quantized: many equal keys
-			seed[i] = pqItem{pt: point{int16(i), int16(trial)}, g: f, f: f}
+			seed[i] = pqItem{f: f, cell: int32(i), gi: int32(trial)}
 		}
 		got = append(got, seed...)
 		want = append(want, seed...)
@@ -47,7 +47,7 @@ func TestPQMatchesContainerHeap(t *testing.T) {
 		for len(want) > 0 {
 			if rng.Intn(3) == 0 {
 				f := float64(rng.Intn(20))
-				it := pqItem{pt: point{int16(rng.Intn(100)), -1}, g: f, f: f}
+				it := pqItem{f: f, cell: int32(rng.Intn(100)), gi: -1}
 				got.push(it)
 				heap.Push(&want, it)
 			}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"vpga/internal/obs"
 	"vpga/internal/place"
@@ -158,6 +159,11 @@ func (r *Result) NetCap(net int) float64 {
 
 type point struct{ x, y int16 }
 
+// MaxCapacity is the widest channel, in tracks per grid edge, that the
+// router derives and that a routing sweep may ask for: track
+// assignment keeps a capacity-bit occupancy set per edge.
+const MaxCapacity = 4096
+
 // Route routes every placement net.
 func Route(prob *place.Problem, opts Options) (*Result, error) {
 	if opts.MaxIters == 0 {
@@ -191,7 +197,7 @@ func Route(prob *place.Problem, opts Options) (*Result, error) {
 		// routes ASIC-style across several metal layers above the
 		// array).
 		binW := prob.W / float64(opts.CellsX)
-		opts.Capacity = clampInt(int(binW*20), 24, 4096)
+		opts.Capacity = clampInt(int(binW*20), 24, MaxCapacity)
 	}
 	if opts.CapacityScale > 0 {
 		opts.Capacity = maxI(1, int(float64(opts.Capacity)*opts.CapacityScale))
@@ -239,9 +245,6 @@ type router struct {
 	// detour surcharge (via faults). Nil slices mean a clean fabric.
 	hDead, vDead []bool
 	hPen, vPen   []float32
-
-	// Current A* search window.
-	winX0, winY0, winX1, winY1 int
 }
 
 type edgeRef struct {
@@ -270,6 +273,7 @@ func (r *router) run() (*Result, error) {
 	r.hUse, r.vUse = r.st.hUse, r.st.vUse
 	r.netEdges = make([][]edgeRef, len(nets))
 	r.applyFaults()
+	r.refreshBase()
 
 	presentFactor := 0.5
 	iters := 0
@@ -336,6 +340,7 @@ func (r *router) run() (*Result, error) {
 				r.st.vHist[i] += float32(int(u) - r.opts.Capacity)
 			}
 		}
+		r.refreshBase()
 		presentFactor *= 1.6
 		if rerouted == 0 {
 			break
@@ -357,6 +362,11 @@ func (r *router) run() (*Result, error) {
 // iteration boundary to cross-check the incrementally maintained
 // overflow state against full scans. Never set outside tests.
 var overflowAudit func(*router)
+
+// fallbackAudit, when set by a test, runs each time a windowed search
+// fails and routeNet retries over the full grid. Never set outside
+// tests.
+var fallbackAudit func()
 
 // totalOverflow recomputes the capacity overflow by scanning both
 // usage arrays: the oracle the incrementally-maintained totalOver is
@@ -489,51 +499,44 @@ func (r *router) applyFaults() {
 	}
 }
 
-// deadEdge reports whether an edge is open-circuit under the fault
-// model.
-func (r *router) deadEdge(horizontal bool, idx int) bool {
-	if horizontal {
-		return r.hDead != nil && r.hDead[idx]
-	}
-	return r.vDead != nil && r.vDead[idx]
-}
-
-// edgeCost is the negotiated-congestion cost of taking an edge.
-func (r *router) edgeCost(horizontal bool, idx int, presentFactor float64) float64 {
-	var use int16
-	var hist float32
-	var pen float32
-	if horizontal {
-		use, hist = r.hUse[idx], r.st.hHist[idx]
-		if r.hPen != nil {
-			pen = r.hPen[idx]
-		}
-	} else {
-		use, hist = r.vUse[idx], r.st.vHist[idx]
-		if r.vPen != nil {
-			pen = r.vPen[idx]
+// refreshBase recomputes every edge's congestion-free cost, 1 +
+// hist/2 + via penalty. Penalties change only in applyFaults and
+// history only between negotiation iterations, so it runs after each.
+// Routes depend on every bit of an edge cost, and Go may fuse
+// multiply-adds on some targets, so this expression and relax's keep
+// their operand order and tree.
+func (r *router) refreshBase() {
+	fill := func(base []float64, hist, pen []float32) {
+		for i, h := range hist {
+			var p float32
+			if pen != nil {
+				p = pen[i]
+			}
+			base[i] = 1.0 + float64(h)*0.5 + float64(p)
 		}
 	}
-	cost := 1.0 + float64(hist)*0.5 + float64(pen)
-	if int(use)+1 > r.opts.Capacity {
-		cost += presentFactor * float64(int(use)+1-r.opts.Capacity) * 4
-	}
-	return cost
+	fill(r.st.hBase, r.st.hHist, r.hPen)
+	fill(r.st.vBase, r.st.vHist, r.vPen)
 }
 
-// pq is the A* frontier: a binary min-heap on f, specialized to
-// pqItem. The sift algorithms mirror container/heap exactly (same
-// comparisons, same swaps), so pop order — including tie-breaks — is
-// bit-identical to the former heap.Interface implementation, but push
-// and pop move concrete values instead of boxing every item through
-// interface{}. The backing slice is owned by the router's scratch
-// buffer and reused across nets, so steady-state routing allocates
-// nothing per call.
-type pqItem struct {
-	pt   point
-	g, f float64
-}
+// pq is the A* frontier: a binary min-heap on f. Routes depend on how
+// equal-f items break ties, so it pops in exactly container/heap's
+// order (TestPQMatchesContainerHeap): init sifts down as heap.Init
+// does, push sifts up with heap.Push's strict <, and pop leaves the
+// layout heap.Pop leaves. The backing slice is owned by the router's
+// scratch state and reused across searches, so steady-state routing
+// allocates nothing per call.
 type pq []pqItem
+
+// pqItem is a frontier entry, 16 bytes. Its g sits in the search's
+// push log at index gi. gScore[cell] is not a substitute: a later,
+// smaller g for the same cell can round to the same f, so the older
+// item may pop first, and it must relax its neighbors with its own g.
+type pqItem struct {
+	f    float64
+	cell int32
+	gi   int32
+}
 
 // init establishes the heap invariant over the current contents.
 func (q *pq) init() {
@@ -543,31 +546,56 @@ func (q *pq) init() {
 	}
 }
 
+// push sifts a hole up from the new last slot while the item is
+// strictly smaller than the hole's parent, as heap.Push's swaps do.
 func (q *pq) push(it pqItem) {
-	*q = append(*q, it)
-	q.up(len(*q) - 1)
-}
-
-func (q *pq) pop() pqItem {
-	s := *q
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	q.down(0, n)
-	it := s[n]
-	*q = s[:n]
-	return it
-}
-
-func (q *pq) up(j int) {
-	s := *q
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !(s[j].f < s[i].f) {
+	s := append(*q, it)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !(it.f < s[p].f) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
-		j = i
+		s[i] = s[p]
+		i = p
 	}
+	s[i] = it
+	*q = s
+}
+
+// pop removes the minimum. heap.Pop moves the last item x to the root
+// and swaps it down the min-child path (the right child only when
+// strictly smaller) until no child is smaller. Keys never decrease
+// along that path, so the same slot is found by moving the hole down
+// the whole path and sifting x back up while its parent is not
+// smaller. A +Inf sentinel in the vacated last slot lets a right child
+// skip its bounds check, and since keys are non-negative finite
+// floats, their bit patterns order like the keys, so the sign of their
+// difference picks the child without a branch.
+func (q *pq) pop() pqItem {
+	s := *q
+	top := s[0]
+	n := len(s) - 1
+	x := s[n]
+	s[n].f = math.Inf(1)
+	i := 0
+	for l := 1; l < n; l = 2*i + 1 {
+		d := int64(math.Float64bits(s[l+1].f)) - int64(math.Float64bits(s[l].f))
+		c := l + int(uint64(d)>>63) // the right child if strictly smaller
+		s[i] = s[c]
+		i = c
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if s[p].f < x.f {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = x
+	*q = s[:n]
+	return top
 }
 
 func (q *pq) down(i0, n int) {
@@ -636,12 +664,18 @@ func (r *router) routeNet(ni int, presentFactor float64) error {
 		// congestion walls off the window.
 		path, err := r.astar(te, treeList, sink, presentFactor, 6)
 		if err != nil {
+			if fallbackAudit != nil {
+				fallbackAudit()
+			}
 			path, err = r.astar(te, treeList, sink, presentFactor, -1)
 		}
 		if err != nil {
 			st.treeList, st.sinks = treeList[:0], sinks[:0]
 			return err
 		}
+		// A fresh slice per reroute, grown once per path: the best-
+		// iteration snapshot shares the old slice headers.
+		edges = slices.Grow(edges, len(path)-1)
 		for i := 0; i+1 < len(path); i++ {
 			ref := r.edgeBetween(path[i], path[i+1])
 			r.addEdge(int32(ni), ref)
@@ -677,6 +711,32 @@ func (r *router) edgeBetween(a, b point) edgeRef {
 	}
 }
 
+// search is the A* scratch and the hot state of one search: epoch-
+// stamped per-cell scores and parents, the frontier, the push log (the
+// g of every pushed item, indexed by pqItem.gi), and what relax reads.
+type search struct {
+	gScore []float64
+	parent []int32
+	gStamp []int32
+	cStamp []int32
+	epoch  int32
+	q      pq
+	gs     []float64
+
+	capacity      int
+	presentFactor float64
+	sinkX, sinkY  int
+	h, v          edgeArrays
+}
+
+// edgeArrays are one direction's per-edge arrays; dead is nil on a
+// clean fabric.
+type edgeArrays struct {
+	use  []int16
+	base []float64
+	dead []bool
+}
+
 // astar searches from the existing tree (all members seeded at cost 0,
 // membership = inTree stamp equals te) to the sink. Scratch state
 // lives in flat arrays indexed by grid cell and is invalidated
@@ -687,11 +747,12 @@ func (r *router) edgeBetween(a, b point) edgeRef {
 // anchoring and frontier seeding deterministic.
 func (r *router) astar(te int32, treeList []point, sink point, presentFactor float64, margin int) ([]point, error) {
 	st := r.st
-	st.epoch++
-	uncell := func(c int32) point { return point{int16(c % int32(r.nx)), int16(c / int32(r.nx))} }
+	s := &st.search
+	s.epoch++
+	nx := int32(r.nx)
 	// Search window: the bounding box of the sink and its nearest tree
 	// node, padded by margin bins (margin < 0 disables the window).
-	r.winX0, r.winY0, r.winX1, r.winY1 = 0, 0, r.nx-1, r.ny-1
+	x0, y0, x1, y1 := 0, 0, r.nx-1, r.ny-1
 	if margin >= 0 {
 		best, bestD := sink, math.Inf(1)
 		for _, t := range treeList {
@@ -699,53 +760,86 @@ func (r *router) astar(te int32, treeList []point, sink point, presentFactor flo
 				best, bestD = t, d
 			}
 		}
-		r.winX0 = clampInt(minI(int(best.x), int(sink.x))-margin, 0, r.nx-1)
-		r.winX1 = clampInt(maxI(int(best.x), int(sink.x))+margin, 0, r.nx-1)
-		r.winY0 = clampInt(minI(int(best.y), int(sink.y))-margin, 0, r.ny-1)
-		r.winY1 = clampInt(maxI(int(best.y), int(sink.y))+margin, 0, r.ny-1)
+		x0 = clampInt(minI(int(best.x), int(sink.x))-margin, 0, r.nx-1)
+		x1 = clampInt(maxI(int(best.x), int(sink.x))+margin, 0, r.nx-1)
+		y0 = clampInt(minI(int(best.y), int(sink.y))-margin, 0, r.ny-1)
+		y1 = clampInt(maxI(int(best.y), int(sink.y))+margin, 0, r.ny-1)
 	}
-	frontier := st.scratch[:0]
+	s.q, s.gs = s.q[:0], s.gs[:0]
 	for _, t := range treeList {
-		if int(t.x) < r.winX0 || int(t.x) > r.winX1 || int(t.y) < r.winY0 || int(t.y) > r.winY1 {
+		if int(t.x) < x0 || int(t.x) > x1 || int(t.y) < y0 || int(t.y) > y1 {
 			continue
 		}
 		c := r.cellOf(t)
-		st.gScore[c] = 0
-		st.gStamp[c] = st.epoch
-		st.parent[c] = -1
-		frontier = append(frontier, pqItem{t, 0, manhattan(t, sink)})
+		s.gScore[c], s.gStamp[c], s.parent[c] = 0, s.epoch, -1
+		s.q = append(s.q, pqItem{f: manhattan(t, sink), cell: c, gi: int32(len(s.gs))})
+		s.gs = append(s.gs, 0)
 	}
-	frontier.init()
-	defer func() { st.scratch = frontier[:0] }()
+	s.q.init()
+	s.capacity, s.presentFactor = r.opts.Capacity, presentFactor
+	s.sinkX, s.sinkY = int(sink.x), int(sink.y)
+	s.h = edgeArrays{r.hUse, st.hBase, r.hDead}
+	s.v = edgeArrays{r.vUse, st.vBase, r.vDead}
 	sinkC := r.cellOf(sink)
-	for len(frontier) > 0 {
-		cur := frontier.pop()
-		curC := r.cellOf(cur.pt)
-		if st.cStamp[curC] == st.epoch {
+	for len(s.q) > 0 {
+		cur := s.q.pop()
+		c := cur.cell
+		if s.cStamp[c] == s.epoch {
 			continue
 		}
-		st.cStamp[curC] = st.epoch
-		if curC == sinkC {
+		s.cStamp[c] = s.epoch
+		if c == sinkC {
 			// Reconstruct to the first tree node.
 			path := st.pathBuf[:0]
-			c := sinkC
 			for {
-				path = append(path, uncell(c))
+				path = append(path, point{int16(c % nx), int16(c / nx)})
 				if st.inTree[c] == te {
 					break
 				}
-				c = st.parent[c]
+				c = s.parent[c]
 			}
 			st.pathBuf = path
 			return path, nil
 		}
-		x, y := int(cur.pt.x), int(cur.pt.y)
-		r.relax(&frontier, cur, sink, x+1, y, x+1 < r.nx, true, r.hIdx(x, y), presentFactor)
-		r.relax(&frontier, cur, sink, x-1, y, x-1 >= 0, true, r.hIdx(maxI(x-1, 0), y), presentFactor)
-		r.relax(&frontier, cur, sink, x, y+1, y+1 < r.ny, false, r.vIdx(x, y), presentFactor)
-		r.relax(&frontier, cur, sink, x, y-1, y-1 >= 0, false, r.vIdx(x, maxI(y-1, 0)), presentFactor)
+		// Every pushed cell lies in the window, so each direction checks
+		// only the coordinate it moves. The edges are hIdx(x, y),
+		// hIdx(x-1, y), vIdx(x, y) and vIdx(x, y-1).
+		x, y, g := int(c%nx), int(c/nx), s.gs[cur.gi]
+		e := y*(r.nx-1) + x
+		if x < x1 {
+			s.relax(c, c+1, x+1, y, g, e, &s.h)
+		}
+		if x > x0 {
+			s.relax(c, c-1, x-1, y, g, e-1, &s.h)
+		}
+		if y < y1 {
+			s.relax(c, c+nx, x, y+1, g, int(c), &s.v)
+		}
+		if y > y0 {
+			s.relax(c, c-nx, x, y-1, g, int(c-nx), &s.v)
+		}
 	}
 	return nil, fmt.Errorf("no path to sink (%d,%d)", sink.x, sink.y)
+}
+
+// relax pushes cell n at (x, y), reached from cell c at cost g across
+// edge e, unless the edge is dead, n is closed, or n already has a
+// cost no worse. The edge cost is its base plus the present-congestion
+// term, whose max(...) is 0 while the edge has room, and base + 0 is
+// exactly base (see refreshBase on operand order). The heuristic
+// |dx|+|dy| is an integer, so its float conversion is exact.
+func (s *search) relax(c, n int32, x, y int, g float64, e int, es *edgeArrays) {
+	if es.dead != nil && es.dead[e] || s.cStamp[n] == s.epoch {
+		return
+	}
+	g += es.base[e] + s.presentFactor*float64(max(int(es.use[e])+1-s.capacity, 0))*4
+	if s.gStamp[n] == s.epoch && s.gScore[n] <= g {
+		return
+	}
+	s.gScore[n], s.gStamp[n], s.parent[n] = g, s.epoch, c
+	h := max(x-s.sinkX, s.sinkX-x) + max(y-s.sinkY, s.sinkY-y)
+	s.q.push(pqItem{f: g + float64(h), cell: n, gi: int32(len(s.gs))})
+	s.gs = append(s.gs, g)
 }
 
 func maxI(a, b int) int {
@@ -760,33 +854,6 @@ func minI(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// relax pushes neighbor (nx,ny) if in bounds and improved.
-func (r *router) relax(frontier *pq, cur pqItem, sink point, nxp, nyp int, ok, horizontal bool, edgeIdx int, presentFactor float64) {
-	if !ok {
-		return
-	}
-	if nxp < r.winX0 || nxp > r.winX1 || nyp < r.winY0 || nyp > r.winY1 {
-		return
-	}
-	if r.deadEdge(horizontal, edgeIdx) {
-		return
-	}
-	p := point{int16(nxp), int16(nyp)}
-	st := r.st
-	c := int32(nyp)*int32(r.nx) + int32(nxp)
-	if st.cStamp[c] == st.epoch {
-		return
-	}
-	g := cur.g + r.edgeCost(horizontal, edgeIdx, presentFactor)
-	if st.gStamp[c] == st.epoch && st.gScore[c] <= g {
-		return
-	}
-	st.gScore[c] = g
-	st.gStamp[c] = st.epoch
-	st.parent[c] = int32(cur.pt.y)*int32(r.nx) + int32(cur.pt.x)
-	frontier.push(pqItem{p, g, g + manhattan(p, sink)})
 }
 
 // edgeEnds decodes an edge reference into its two grid cells.
@@ -850,6 +917,7 @@ func (r *router) finish(iters int) (*Result, error) {
 		vEdges:     r.vUse,
 	}
 	r.st.hUse, r.st.vUse = nil, nil
+	r.st.h, r.st.v = edgeArrays{}, edgeArrays{}
 	edgeLen := (r.binW + r.binH) / 2
 	st := r.st
 	for ni := range r.prob.Nets {

@@ -4,16 +4,16 @@ import "sync"
 
 // State is the router's working memory — usage/history/incidence
 // arrays over the grid edges, A* scratch (scores, parents, stamp
-// arrays, the frontier heap), and tree/path buffers — checked out for
-// one Route call. Reusing a State across runs skips the allocation and
-// most of the zeroing a cold router pays: the A* arrays are epoch-
-// stamped, so carrying them over costs nothing (a monotonically
-// increasing epoch never matches a stale stamp), and only the usage,
-// history and incidence arrays are cleared per run.
+// arrays, the frontier heap, the push log), and tree/path buffers —
+// checked out for one Route call. Reusing a State across runs skips
+// the allocation and most of the zeroing a cold router pays: the A*
+// arrays are epoch-stamped, so carrying them over costs nothing (a
+// monotonically increasing epoch never matches a stale stamp), and
+// only the usage, history and incidence arrays are cleared per run.
 //
 // Reuse never changes results: every array is either cleared at
-// checkout or guarded by an epoch, so a pooled run is bit-identical to
-// a cold one. The usage and per-net edge arrays are handed off to the
+// checkout, guarded by an epoch, or rewritten before it is read (the
+// edge base costs), so a pooled run is bit-identical to a cold one. The usage and per-net edge arrays are handed off to the
 // Result at the end of the run (detailed routing reads them later) and
 // reallocated on the next checkout.
 type State struct {
@@ -25,15 +25,14 @@ type State struct {
 	hHist, vHist []float32
 	hOn, vOn     [][]int32 // nets currently holding each edge
 
+	// hBase and vBase cache each edge's congestion-free cost, 1 +
+	// hist/2 + via penalty: history changes only between iterations
+	// and penalties are fixed for a run (see router.refreshBase).
+	hBase, vBase []float64
+
 	netOverCnt []int32 // per net: its edge refs currently on over-capacity edges
 
-	// A* scratch, epoch-stamped.
-	gScore  []float64
-	parent  []int32
-	gStamp  []int32
-	cStamp  []int32
-	epoch   int32
-	scratch pq
+	search // A* scratch, epoch-stamped
 
 	// Routing-tree membership (epoch-stamped) and reusable buffers.
 	// treeDirs holds, for cells stamped in inTree, the directions of the
@@ -65,6 +64,8 @@ func (st *State) prepare(nx, ny, nets int) {
 		st.vHist = make([]float32, vn)
 		st.hOn = make([][]int32, hn)
 		st.vOn = make([][]int32, vn)
+		st.hBase = make([]float64, hn)
+		st.vBase = make([]float64, vn)
 		st.gScore = make([]float64, cells)
 		st.parent = make([]int32, cells)
 		st.gStamp = make([]int32, cells)

@@ -86,6 +86,7 @@ func TestValidationParity(t *testing.T) {
 	c, coord := newTestCoordinator(t, CoordinatorOptions{Workers: []string{worker.URL}})
 	for _, tc := range []struct{ kind, path, body string }{
 		{"sweep/routing", "/v1/sweeps/routing", `{"design":"alu","capacities":[0]}`},
+		{"sweep/routing", "/v1/sweeps/routing", `{"design":"alu","capacities":[4097]}`},
 		{"sweep/routing", "/v1/sweeps/routing", `{"design":"alu","arch":{"kind":"nope"}}`},
 		{"run", "/v1/runs", `{"design":"alu","sede":3}`},
 		{"matrix", "/v1/matrix", `{"place_effort":-1}`},

@@ -449,12 +449,7 @@ func (r routingSweep) resolve() (bench.Design, *cells.PLBArch, []int, error) {
 	if len(capacities) == 0 {
 		capacities = []int{4, 8, 16, 32, 64}
 	}
-	for _, c := range capacities {
-		if c < 1 {
-			return d, nil, nil, fmt.Errorf("capacity %d < 1", c)
-		}
-	}
-	return d, arch, capacities, nil
+	return d, arch, capacities, core.CheckCapacities(capacities)
 }
 
 func (r routingSweep) check() (any, string, error) {
