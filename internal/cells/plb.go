@@ -105,6 +105,12 @@ func GranularPLB() *PLBArch {
 	return a
 }
 
+// MaxSlots bounds each component count of a custom PLB that a request
+// may ask for (core.ArchSpec.Resolve enforces it). It is far above any
+// architecture the paper or the sweeps use (at most 4 of a kind), and
+// it keeps a request from making CustomPLB allocate without bound.
+const MaxSlots = 64
+
 // CustomPLB builds a parameterized PLB for the granularity-sweep
 // ablation (E8): nMux general MUXes, nXoa XOA MUXes, nNand ND3WI gates,
 // nLut 3-LUTs and nFF flip-flops. Tile area follows a simple

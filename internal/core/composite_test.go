@@ -297,3 +297,20 @@ func TestParseFlowError(t *testing.T) {
 		t.Fatalf("unstructured message parsed as %+v, want %+v", plain, want)
 	}
 }
+
+// FuzzParseFlowError: whatever the coordinates, stage, attempt and
+// cause, a rendered *FlowError parses back into one that renders
+// identically, and any other message parses without a panic.
+func FuzzParseFlowError(f *testing.F) {
+	f.Add("ALU", "lut-plb", "flow b", "route", 0, "net 3 unroutable (overflow 2): no path")
+	f.Add("ALU", "lut-plb", "flow b", "repair", 3, "core: ALU/lut-plb/flow b: route (attempt 0): no path")
+	f.Add("FPU", "granular-plb", "flow a", "timeout", -1, "context deadline exceeded")
+	f.Add("", "", "", "", 0, "): (attempt 7): ")
+	f.Fuzz(func(t *testing.T, design, arch, flow, stage string, attempt int, cause string) {
+		fe := &FlowError{Design: design, Arch: arch, Flow: flow, Stage: stage, Attempt: attempt, Err: errors.New(cause)}
+		if got := ParseFlowError(design, arch, flow, stage, fe.Error()); got.Error() != fe.Error() {
+			t.Fatalf("%q parsed back as %q", fe.Error(), got.Error())
+		}
+		ParseFlowError(design, arch, flow, stage, cause)
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"vpga/internal/bench"
 	"vpga/internal/cells"
@@ -25,8 +26,9 @@ type ArchSpec struct {
 	// Name labels a custom architecture (default "custom"); ignored for
 	// the named kinds.
 	Name string `json:"name,omitempty"`
-	// Custom slot counts (kind "custom" only): 2:1 MUXes, XOA MUXes,
-	// ND3WI gates, 3-LUTs and flip-flops.
+	// Custom slot counts (kind "custom" only), each 0 to
+	// cells.MaxSlots: 2:1 MUXes, XOA MUXes, ND3WI gates, 3-LUTs and
+	// flip-flops.
 	Mux  int `json:"mux,omitempty"`
 	Xoa  int `json:"xoa,omitempty"`
 	Nand int `json:"nand,omitempty"`
@@ -60,7 +62,15 @@ func (a ArchSpec) Resolve() (*cells.PLBArch, error) {
 	case "lut":
 		return cells.LUTPLB(), nil
 	case "custom":
-		if a.Mux+a.Xoa+a.Nand+a.Lut <= 0 {
+		for _, c := range []struct {
+			slot string
+			n    int
+		}{{"mux", a.Mux}, {"xoa", a.Xoa}, {"nand", a.Nand}, {"lut", a.Lut}, {"ff", a.FF}} {
+			if c.n < 0 || c.n > cells.MaxSlots {
+				return nil, fmt.Errorf("core: custom arch %q: %s count %d outside [0, %d]", a.Name, c.slot, c.n, cells.MaxSlots)
+			}
+		}
+		if a.Mux+a.Xoa+a.Nand+a.Lut == 0 {
 			return nil, fmt.Errorf("core: custom arch %q has no combinational slots", a.Name)
 		}
 		return cells.CustomPLB(a.Name, a.Mux, a.Xoa, a.Nand, a.Lut, a.FF), nil
@@ -117,18 +127,32 @@ type FlowRequest struct {
 	RepairBudget int `json:"repair_budget,omitempty"`
 }
 
-// benchDesigns resolves the named benchmarks at either scale.
-func benchDesigns(scale string) map[string]bench.Design {
-	s := bench.TestSuite()
-	fir := bench.FIR(8, 8)
-	if scale == "paper" {
-		s = bench.PaperSuite()
-		fir = bench.FIR(32, 16)
-	}
+// designTables are the named benchmarks at each scale, generated once
+// per process: a bench.Design is immutable strings, so every request
+// shares one table instead of regenerating the RTL.
+var designTables = map[string]func() map[string]bench.Design{
+	"test":  sync.OnceValue(func() map[string]bench.Design { return designTable(bench.TestSuite(), bench.FIR(8, 8)) }),
+	"paper": sync.OnceValue(func() map[string]bench.Design { return designTable(bench.PaperSuite(), bench.FIR(32, 16)) }),
+}
+
+func designTable(s bench.Suite, fir bench.Design) map[string]bench.Design {
 	return map[string]bench.Design{
 		"alu": s.ALU, "firewire": s.Firewire, "fpu": s.FPU, "switch": s.Switch,
 		"fir": fir,
 	}
+}
+
+// MatrixSuite is the Table 1/2 suite at a scale: MatrixDesignNames
+// resolved as ResolveDesign resolves them, from the same table.
+func MatrixSuite(scale string) (bench.Suite, error) {
+	var d [4]bench.Design
+	for i, name := range MatrixDesignNames() {
+		var err error
+		if d[i], err = ResolveDesign(name, scale, "", ""); err != nil {
+			return bench.Suite{}, err
+		}
+	}
+	return bench.Suite{ALU: d[0], Firewire: d[1], FPU: d[2], Switch: d[3]}, nil
 }
 
 // ResolveDesign resolves a (design, scale, rtl, name) quadruple as a
@@ -151,10 +175,11 @@ func ResolveDesign(design, scale, rtlSrc, name string) (bench.Design, error) {
 	if scale == "" {
 		scale = "test"
 	}
-	if scale != "test" && scale != "paper" {
+	table, ok := designTables[scale]
+	if !ok {
 		return bench.Design{}, fmt.Errorf("core: unknown scale %q (want test or paper)", scale)
 	}
-	d, ok := benchDesigns(scale)[design]
+	d, ok := table()[design]
 	if !ok {
 		return bench.Design{}, fmt.Errorf("core: unknown design %q (want alu, firewire, fpu, switch or fir)", design)
 	}

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"sync"
 	"testing"
+
+	"vpga/internal/bench"
+	"vpga/internal/cells"
 )
 
 // TestFlowRequestFieldOrderRoundTrip: the same run described with
@@ -131,6 +135,9 @@ func TestFlowRequestValidate(t *testing.T) {
 		"unknown scale":   {Design: "alu", Scale: "huge"},
 		"unknown arch":    {Design: "alu", Arch: ArchSpec{Kind: "mystery"}},
 		"empty custom":    {Design: "alu", Arch: ArchSpec{Kind: "custom"}},
+		"mux over bound":  {Design: "alu", Arch: ArchSpec{Kind: "custom", Mux: cells.MaxSlots + 1}},
+		"negative ff":     {Design: "alu", Arch: ArchSpec{Kind: "custom", Mux: 1, FF: -5}},
+		"negative mux":    {Design: "alu", Arch: ArchSpec{Kind: "custom", Mux: -2, Nand: 3}},
 		"unknown flow":    {Design: "alu", Flow: "c"},
 		"negative effort": {Design: "alu", PlaceEffort: -1},
 		"rate too high":   {Design: "alu", DefectRate: 1.0},
@@ -141,6 +148,73 @@ func TestFlowRequestValidate(t *testing.T) {
 		if _, err := r.CacheKey(); err == nil {
 			t.Errorf("%s: CacheKey accepted %+v", name, r)
 		}
+	}
+}
+
+// TestCustomArchAtSlotBound: a custom arch with every count at
+// cells.MaxSlots resolves, one slot per unit of each count plus the
+// four buffers. TestFlowRequestValidate refuses counts outside the
+// bound; CustomPLB allocates one slot per unit, so an unbounded count
+// is an unbounded allocation when a request is parsed.
+func TestCustomArchAtSlotBound(t *testing.T) {
+	m := cells.MaxSlots
+	arch, err := ArchSpec{Kind: "custom", Mux: m, Xoa: m, Nand: m, Lut: m, FF: m}.Resolve()
+	if err != nil {
+		t.Fatalf("the bound itself is refused: %v", err)
+	}
+	if got, want := len(arch.Slots), 5*m+4; got != want {
+		t.Fatalf("%d slots, want %d", got, want)
+	}
+}
+
+// TestDesignTable: ResolveDesign and MatrixSuite serve, at both scales,
+// exactly the designs a fresh suite generates; they are generated once
+// per process, so a named lookup allocates nothing; and concurrent
+// lookups share the table without a race.
+func TestDesignTable(t *testing.T) {
+	names := []string{"alu", "firewire", "fpu", "switch", "fir"}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, scale := range []string{"paper", "test"} {
+				for _, name := range names {
+					if _, err := ResolveDesign(name, scale, "", ""); err != nil {
+						t.Error(err)
+					}
+				}
+				if _, err := MatrixSuite(scale); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for _, tc := range []struct {
+		scale string
+		suite bench.Suite
+		fir   bench.Design
+	}{
+		{"test", bench.TestSuite(), bench.FIR(8, 8)},
+		{"paper", bench.PaperSuite(), bench.FIR(32, 16)},
+	} {
+		want := []bench.Design{tc.suite.ALU, tc.suite.Firewire, tc.suite.FPU, tc.suite.Switch, tc.fir}
+		for i, name := range names {
+			if got, err := ResolveDesign(name, tc.scale, "", ""); err != nil || got != want[i] {
+				t.Errorf("%s at %s scale: got %q (%v), want a fresh %q", name, tc.scale, got.Name, err, want[i].Name)
+			}
+		}
+		if got, err := MatrixSuite(tc.scale); err != nil || got != tc.suite {
+			t.Errorf("MatrixSuite(%q) differs from a fresh suite (%v)", tc.scale, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { ResolveDesign("switch", tc.scale, "", "") }); allocs != 0 {
+			t.Errorf("ResolveDesign at %s scale: %v allocs per call, want 0", tc.scale, allocs)
+		}
+	}
+	if _, err := MatrixSuite("huge"); err == nil {
+		t.Error("MatrixSuite accepted an unknown scale")
 	}
 }
 

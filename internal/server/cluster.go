@@ -25,7 +25,8 @@ import (
 const peerFetchPoint = "peer.fetch"
 
 // nodeClient is the coordinator's handle on one worker node: its base
-// URL, an HTTP client, liveness, and per-node rollup counters.
+// URL, the HTTP client it shares with the other nodes, liveness, and
+// per-node rollup counters.
 type nodeClient struct {
 	base string
 	hc   *http.Client
@@ -46,11 +47,10 @@ type nodeHealth struct {
 	StageCache  core.StageCacheStats `json:"stage_cache"`
 }
 
-func newNodeClient(base string) *nodeClient {
-	return &nodeClient{
-		base: strings.TrimRight(base, "/"),
-		hc:   &http.Client{}, // per-call deadlines come from contexts
-	}
+// newNodeClient takes the client every call goes through; per-call
+// deadlines come from contexts.
+func newNodeClient(base string, hc *http.Client) *nodeClient {
+	return &nodeClient{base: strings.TrimRight(base, "/"), hc: hc}
 }
 
 // rawEnvelope is a worker jobResponse with the result left raw: the
@@ -174,8 +174,9 @@ func NewPeerLookup(self string, nodes []string) func(ctx context.Context, kind, 
 	self = strings.TrimRight(self, "/")
 	r := newRing(nodes)
 	peers := make(map[string]*nodeClient, len(nodes))
+	hc := &http.Client{}
 	for _, n := range nodes {
-		if c := newNodeClient(n); c.base != self {
+		if c := newNodeClient(n, hc); c.base != self {
 			peers[c.base] = c
 		}
 	}

@@ -32,6 +32,7 @@ type Coordinator struct {
 	*engine
 	opts    CoordinatorOptions
 	ring    *ring
+	hc      *http.Client // every node client's; Shutdown closes its connections
 	nodes   map[string]*nodeClient
 	order   []string // node bases in Options order, for stable rollups
 	sched   *scheduler
@@ -93,9 +94,19 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.healthInterval == 0 {
 		opts.healthInterval = 2 * time.Second
 	}
-	c := &Coordinator{opts: opts, nodes: make(map[string]*nodeClient, len(opts.Workers)), ranOn: newLRU(1024)}
+	// The node clients keep one keep-alive pool per worker node, as
+	// large as the coordinator's own concurrency toward a node: its
+	// ticket lanes plus one matrix's cell lookups, which may all go to
+	// one node at once. Go's default transport keeps two idle
+	// connections per host, far fewer than a replay's lookups.
+	perNode := opts.NodeConcurrency + len(core.MatrixDesignNames())*len(core.MatrixArchKinds())*len(core.MatrixFlows())
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = perNode
+	tr.MaxIdleConns = perNode * len(opts.Workers)
+	c := &Coordinator{opts: opts, hc: &http.Client{Transport: tr},
+		nodes: make(map[string]*nodeClient, len(opts.Workers)), ranOn: newLRU(1024)}
 	for _, w := range opts.Workers {
-		n := newNodeClient(w)
+		n := newNodeClient(w, c.hc)
 		if _, dup := c.nodes[n.base]; dup {
 			return nil, fmt.Errorf("duplicate worker node %q", n.base)
 		}
@@ -130,11 +141,13 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 
 // Shutdown drains the coordinator's jobs — their tickets keep flowing
 // until the jobs finish or ctx expires — then fails whatever tickets
-// are still queued and stops the runners.
+// are still queued, stops the runners and closes the connections to
+// the workers.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	err := c.engine.Shutdown(ctx)
 	c.sched.close()
 	c.runners.Wait()
+	c.hc.CloseIdleConnections()
 	return err
 }
 

@@ -89,6 +89,10 @@ func TestValidationParity(t *testing.T) {
 		{"sweep/routing", "/v1/sweeps/routing", `{"design":"alu","capacities":[4097]}`},
 		{"sweep/routing", "/v1/sweeps/routing", `{"design":"alu","arch":{"kind":"nope"}}`},
 		{"run", "/v1/runs", `{"design":"alu","sede":3}`},
+		{"run", "/v1/runs", `{"design":"alu","arch":{"kind":"custom","mux":65}}`},
+		{"run", "/v1/runs", `{"design":"alu","arch":{"kind":"custom","mux":1,"ff":-1}}`},
+		{"sweep/granularity", "/v1/sweeps/granularity",
+			`{"design":"alu","archs":[{"kind":"granular"},{"kind":"custom","mux":2,"nand":-1}]}`},
 		{"matrix", "/v1/matrix", `{"place_effort":-1}`},
 	} {
 		wCode, w := httpJSON(t, "POST", worker.URL+tc.path, tc.body)

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,6 +97,48 @@ func TestCellTicketKeysMatchWorkerKeys(t *testing.T) {
 	if want := 4*12 + 5 + 1 + 1; pinned != want {
 		t.Fatalf("%d cells pinned to the non-integer clock, want %d", pinned, want)
 	}
+}
+
+// FuzzRunSpec: any POST /v1/runs body parses into a spec or an error,
+// never a panic. A spec's canonical form parses again to the same key
+// and label, and cellTicket keys that form as the worker keyed the
+// body, so a coordinator and a worker agree on every run they accept.
+func FuzzRunSpec(f *testing.F) {
+	for _, body := range []string{
+		runBody,
+		`{"design":"fir","scale":"paper","flow":"a","seed":-3,"clock_period":1234.5678}`,
+		`{"rtl":"module m(input a, output y); assign y = a; endmodule","name":"m","verify":true}`,
+		`{"design":"alu","arch":{"kind":"custom","mux":64,"xoa":64,"nand":64,"lut":64,"ff":64}}`,
+		`{"design":"alu","arch":{"kind":"custom","name":"wide","mux":65}}`,
+		`{"design":"alu","arch":{"kind":"custom","mux":1,"ff":-1}}`,
+		`{"design":"switch","defect_rate":0.02,"defect_seed":7,"repair_budget":-1,"place_effort":2}`,
+		`{"design":"alu","sede":3}`,
+		`{"design":"alu","rtl":"module m; endmodule"}`,
+		`[]`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sp, err := runKind.spec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		cell, key, err := cellTicket(sp.req.(runRequest).Normalize())
+		if err != nil {
+			t.Fatalf("cellTicket of %s: %v", body, err)
+		}
+		if key != sp.key {
+			t.Fatalf("body %s: worker key %s, coordinator key %s", body, sp.key, key)
+		}
+		again, err := runKind.spec(bytes.NewReader(cell))
+		if err != nil {
+			t.Fatalf("the canonical form %s of %s is refused: %v", cell, body, err)
+		}
+		if again.key != sp.key || again.label != sp.label {
+			t.Fatalf("body %s keys %s as %q, its canonical form %s keys %s as %q",
+				body, sp.key, sp.label, cell, again.key, again.label)
+		}
+	})
 }
 
 // TestOffOwnerResultFetchedWhereItRan: a cell stolen from its ring
@@ -236,6 +280,74 @@ func TestOffOwnerResultFetchedWhereItRan(t *testing.T) {
 	replay(m1, map[string]int64{owner: 15}, map[string]int64{owner: 1})
 	if n := c.ranOn.len(); n != 0 {
 		t.Fatalf("%d off-owner entries survive their node going down", n)
+	}
+}
+
+// TestWarmReplaysReuseConnections: warm matrix replays reuse the
+// coordinator's keep-alive connections to the workers instead of
+// dialing new ones, and Shutdown closes every one of them. The cluster
+// is the replay benchmark's without the peer tier, so every connection
+// a worker accepts is the coordinator's.
+func TestWarmReplaysReuseConnections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix runs in -short mode")
+	}
+	var dialed, open atomic.Int64
+	var urls []string
+	for i := 0; i < 2; i++ {
+		s, err := New(Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewUnstartedServer(s)
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			switch st {
+			case http.StateNew:
+				dialed.Add(1)
+				open.Add(1)
+			case http.StateHijacked, http.StateClosed:
+				open.Add(-1)
+			}
+		}
+		ts.Start()
+		t.Cleanup(func() {
+			ts.Close()
+			s.Shutdown(context.Background())
+		})
+		urls = append(urls, ts.URL)
+	}
+	c, cts := newTestCoordinator(t, CoordinatorOptions{Workers: urls, NodeConcurrency: 2, CacheSize: 1})
+	matrices := []string{`{"seed":1,"place_effort":1}`, `{"seed":2,"place_effort":1}`}
+	var cold [2]json.RawMessage
+	for i, m := range matrices {
+		code, jr := httpJSON(t, "POST", cts.URL+"/v1/matrix?wait=1", m)
+		if code != http.StatusOK || jr.Status != "done" {
+			t.Fatalf("cold matrix %s: status %d job %q (%s)", m, code, jr.Status, jr.Error)
+		}
+		cold[i] = jr.Result
+	}
+	before := dialed.Load()
+	const replays = 200
+	for i := 0; i < replays; i++ {
+		code, jr := httpJSON(t, "POST", cts.URL+"/v1/matrix?wait=1", matrices[i%2])
+		if code != http.StatusOK || jr.Status != "done" || !bytes.Equal(jr.Result, cold[i%2]) {
+			t.Fatalf("replay %d: status %d job %q (%s), or a result unlike the cold one", i, code, jr.Status, jr.Error)
+		}
+	}
+	n := dialed.Load() - before
+	t.Logf("%d warm replays opened %d new worker connections", replays, n)
+	if n > 20 {
+		t.Errorf("%d warm replays opened %d new worker connections, want at most 20", replays, n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := c.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); open.Load() > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d coordinator connections to the workers still open after Shutdown", open.Load())
+		}
 	}
 }
 

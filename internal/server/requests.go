@@ -202,13 +202,6 @@ func (r MatrixRequest) check() (any, string, error) {
 	return n, "matrix/" + n.Scale, nil
 }
 
-func (r MatrixRequest) suite() bench.Suite {
-	if r.normalize().Scale == "paper" {
-		return bench.PaperSuite()
-	}
-	return bench.TestSuite()
-}
-
 func (r MatrixRequest) runLocal(ctx context.Context, tr *obs.Tracer, stages *core.StageCache) (any, error) {
 	n := r.normalize()
 	opts := core.MatrixOptions{
@@ -219,7 +212,11 @@ func (r MatrixRequest) runLocal(ctx context.Context, tr *obs.Tracer, stages *cor
 	if n.DefectRate > 0 {
 		opts.Defects = defect.New(n.DefectSeed, n.DefectRate)
 	}
-	m, err := core.RunMatrix(ctx, r.suite(), opts)
+	suite, err := core.MatrixSuite(n.Scale)
+	if err != nil {
+		return nil, err
+	}
+	m, err := core.RunMatrix(ctx, suite, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +230,11 @@ func (r MatrixRequest) runLocal(ctx context.Context, tr *obs.Tracer, stages *cor
 // a single node computes.
 func (r MatrixRequest) fanOut(ctx context.Context, run ticketFunc, tr *jobTrace) (any, error) {
 	n := r.normalize()
-	designs := r.suite().All()
+	suite, err := core.MatrixSuite(n.Scale)
+	if err != nil {
+		return nil, err
+	}
+	designs := suite.All()
 	plan := core.MatrixPlan{
 		Scale: n.Scale, Seed: n.Seed, PlaceEffort: n.PlaceEffort,
 		DefectRate: n.DefectRate, DefectSeed: n.DefectSeed, RepairBudget: n.RepairBudget,
