@@ -256,15 +256,7 @@ func BenchmarkPlacementAnneal(b *testing.B) {
 // BenchmarkAnnealMoves measures the annealer's move throughput — the
 // figure of merit of the incremental bounding-box cost kernel. The
 // moves/s metric is the one to watch in the bench trajectory.
-func BenchmarkAnnealMoves(b *testing.B) { benchAnnealMoves(b, 1) }
-
-// BenchmarkAnnealMoves2Workers is BenchmarkAnnealMoves with two
-// evaluation workers (place.Options.Workers): the same moves and
-// %accepted, so its moves/s against the one-worker figure is what the
-// parallel batch evaluation buys on the host.
-func BenchmarkAnnealMoves2Workers(b *testing.B) { benchAnnealMoves(b, 2) }
-
-func benchAnnealMoves(b *testing.B, workers int) {
+func BenchmarkAnnealMoves(b *testing.B) {
 	prob, _, _ := placedProblem(b)
 	// Drop the garbage earlier benchmarks left behind so the measured
 	// region sees this kernel's own GC behavior, not theirs.
@@ -272,7 +264,7 @@ func benchAnnealMoves(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prob.Anneal(place.Options{Seed: int64(i), MovesPerObj: 8, Workers: workers})
+		prob.Anneal(place.Options{Seed: int64(i), MovesPerObj: 8})
 	}
 	st := prob.Stats()
 	b.ReportMetric(float64(st.Proposed)/b.Elapsed().Seconds(), "moves/s")

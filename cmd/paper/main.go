@@ -64,7 +64,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	seeds := flag.Int("seeds", 0, "run the claims over N seeds and report mean/min/max (stability study)")
 	effort := flag.Int("effort", 0, "placement effort (0 = default)")
-	placeWorkers := flag.Int("place-workers", 0, "annealer workers per flow run (0 or 1 = single-threaded; results are identical at any count)")
 	parallel := flag.Int("parallel", 0, "max concurrent flow runs (0 = all cores, 1 = sequential; results are identical either way)")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget (0 = none); expiry cancels in-flight runs")
 	defectRate := flag.Float64("defect-rate", 0, "defect rate per fabric tile; > 0 runs the yield sweep")
@@ -151,7 +150,7 @@ func main() {
 			list = append(list, *seed+int64(i))
 		}
 		st, err := core.RunStabilityStudy(ctx, suite, list, core.StabilityOptions{
-			PlaceEffort: *effort, PlaceWorkers: *placeWorkers, Parallel: *parallel, Trace: tracer,
+			PlaceEffort: *effort, Parallel: *parallel, Trace: tracer,
 			Progress: func(line string) { fmt.Fprintln(os.Stderr, "  "+line) },
 		})
 		if err != nil {
@@ -166,7 +165,7 @@ func main() {
 		start := time.Now()
 		var err error
 		matrix, err = core.RunMatrix(ctx, suite, core.MatrixOptions{
-			Seed: *seed, PlaceEffort: *effort, PlaceWorkers: *placeWorkers, Parallel: *parallel,
+			Seed: *seed, PlaceEffort: *effort, Parallel: *parallel,
 			ContinueOnError: *keepGoing, Trace: tracer,
 			Progress: func(line string) { fmt.Fprintln(os.Stderr, "  "+line) },
 		})
@@ -206,7 +205,7 @@ func main() {
 		for _, d := range suite.All() {
 			for _, arch := range []*cells.PLBArch{cells.GranularPLB(), cells.LUTPLB()} {
 				cfg := core.Config{Arch: arch, Flow: core.FlowA, Seed: *seed, PlaceEffort: *effort,
-					PlaceWorkers: *placeWorkers, Trace: tracer.NewRun(d.Name + "/" + arch.Name + "/compaction")}
+					Trace: tracer.NewRun(d.Name + "/" + arch.Name + "/compaction")}
 				rep, _, err := core.RunFlow(ctx, d, cfg)
 				cfg.Trace.Close()
 				if err != nil {
@@ -228,7 +227,7 @@ func main() {
 		results, err := core.RunDomainExplore(ctx,
 			[]bench.Design{suite.ALU, suite.Firewire, fir},
 			core.DefaultSweepArchs(),
-			core.SweepOptions{Seed: *seed, Parallel: *parallel, PlaceWorkers: *placeWorkers, Trace: tracer})
+			core.SweepOptions{Seed: *seed, Parallel: *parallel, Trace: tracer})
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -237,7 +236,7 @@ func main() {
 
 	if *routing {
 		pts, err := core.RunRoutingSweep(ctx, suite.ALU, cells.GranularPLB(), []int{4, 8, 16, 32, 64},
-			core.SweepOptions{Seed: *seed, PlaceWorkers: *placeWorkers, Trace: tracer})
+			core.SweepOptions{Seed: *seed, Trace: tracer})
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -247,7 +246,7 @@ func main() {
 	if *sweep {
 		fmt.Println("Granularity sweep (E8): ALU across PLB architectures")
 		pts, err := core.RunGranularitySweep(ctx, suite.ALU, core.DefaultSweepArchs(),
-			core.SweepOptions{Seed: *seed, Parallel: *parallel, PlaceWorkers: *placeWorkers, Trace: tracer})
+			core.SweepOptions{Seed: *seed, Parallel: *parallel, Trace: tracer})
 		if err != nil {
 			fatalf("%v", err)
 		}

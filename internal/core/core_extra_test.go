@@ -212,3 +212,17 @@ func TestRunRejectsArchWithoutSlotForRole(t *testing.T) {
 		t.Errorf("Run took %v to fail", elapsed)
 	}
 }
+
+// TestRunFlowRejectsNegativePlaceEffort: a negative PlaceEffort reaches
+// the annealer as a negative MovesPerObj from callers that skip
+// FlowRequest.Validate (RunMatrix, cmd/paper -effort). RunFlow must
+// fail it as a place-stage *FlowError instead of annealing nothing.
+func TestRunFlowRejectsNegativePlaceEffort(t *testing.T) {
+	_, _, err := RunFlow(context.Background(), bench.ALU(4), Config{
+		Arch: cells.GranularPLB(), Flow: FlowA, Seed: 1, PlaceEffort: -1,
+	})
+	var fe *FlowError
+	if !errors.As(err, &fe) || fe.Stage != "place" || !strings.Contains(err.Error(), "negative MovesPerObj -1") {
+		t.Fatalf("RunFlow with PlaceEffort -1: error %v, want a place-stage *FlowError", err)
+	}
+}

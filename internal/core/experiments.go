@@ -33,10 +33,7 @@ type Matrix struct {
 type MatrixOptions struct {
 	Seed        int64
 	PlaceEffort int
-	// PlaceWorkers sets each run's annealer worker count (see
-	// Config.PlaceWorkers); reports are bit-identical at any setting.
-	PlaceWorkers int
-	Verify       bool
+	Verify      bool
 	// Stages, when set, is the stage-granular build cache every cell
 	// runs against (see Config.Stages): cells sharing a key-chain
 	// prefix — every clock-pinned variant of one (design, arch), both
@@ -167,8 +164,8 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 			d, arch := designs[c.Design], archs[c.Arch]
 			cfg := Config{
 				Arch: arch, Flow: c.Flow, ClockPeriod: c.Clock,
-				Seed: opts.Seed, PlaceEffort: opts.PlaceEffort, PlaceWorkers: opts.PlaceWorkers,
-				Verify: opts.Verify, Defects: opts.Defects, RepairBudget: opts.RepairBudget,
+				Seed: opts.Seed, PlaceEffort: opts.PlaceEffort, Verify: opts.Verify,
+				Defects: opts.Defects, RepairBudget: opts.RepairBudget,
 				Stages: stages, routePool: pool,
 				Trace: opts.Trace.NewRun(d.Name + "/" + arch.Name + "/" + c.Flow.String()),
 			}
@@ -414,9 +411,6 @@ type SweepOptions struct {
 	// parallelizes (0 = GOMAXPROCS, 1 = sequential). Results are
 	// bit-identical at any setting.
 	Parallel int
-	// PlaceWorkers sets each run's annealer worker count (see
-	// Config.PlaceWorkers); results are bit-identical at any setting.
-	PlaceWorkers int
 	// Trace, when set, records every sweep run's stage spans and solver
 	// counters (see internal/obs). Tracing never changes results.
 	Trace *obs.Tracer
@@ -451,8 +445,7 @@ func (o SweepOptions) runner(ctx context.Context, d bench.Design, archs []*cells
 			run := o.Trace.NewRun(label + "/" + d.Name + "/" + arch.Name)
 			defer run.Close()
 			rep, _, err := RunFlow(ctx, d, Config{Arch: arch, Flow: c.Flow, ClockPeriod: c.Clock,
-				Seed: o.Seed, PlaceWorkers: o.PlaceWorkers, Trace: run,
-				Stages: o.Stages, routePool: pool})
+				Seed: o.Seed, Trace: run, Stages: o.Stages, routePool: pool})
 			return rep, err
 		})
 	}}

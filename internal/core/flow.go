@@ -62,13 +62,6 @@ type Config struct {
 	Seed        int64
 	// PlaceEffort scales annealing moves per object (default 6).
 	PlaceEffort int
-	// PlaceWorkers sets the annealer's worker count (0 or 1 =
-	// single-threaded). Reports are bit-identical at any setting — the
-	// annealer's parallel kernel is deterministic — so it never enters
-	// FlowRequest or the report cache key. It is not a reliable speed
-	// knob: on a 2-vCPU host two workers anneal slower than one
-	// (EXPERIMENTS E19).
-	PlaceWorkers int
 	// SkipCompaction disables the regularity-driven compaction step
 	// (ablation E4).
 	SkipCompaction bool
@@ -99,16 +92,15 @@ type Config struct {
 	// Stages, when set, is the stage-granular build cache (see
 	// stagecache.go): every stage boundary stores a content-addressed
 	// artifact, and the run restores the deepest cached prefix of its
-	// stage-key chain instead of recomputing it. Like Trace and
-	// PlaceWorkers it is transport state — reports are bit-identical
-	// (after StripMetrics) with or without it, so it never enters the
-	// request cache key.
+	// stage-key chain instead of recomputing it. Like Trace it is
+	// transport state — reports are bit-identical (after StripMetrics)
+	// with or without it, so it never enters the request cache key.
 	Stages *StageCache
 	// routePool, when set, lends the router reusable working memory
 	// (usage/history arrays, A* scratch) for the run. The experiment
 	// drivers share one pool across their runs; results are
-	// bit-identical with or without it, so like PlaceWorkers it stays
-	// out of the request cache key.
+	// bit-identical with or without it, so like Stages it stays out of
+	// the request cache key.
 	routePool *route.Pool
 }
 
@@ -722,7 +714,7 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 	if !placeHit && !packHit {
 		err = prob.Anneal(place.Options{
 			Seed: cfg.Seed, MovesPerObj: cfg.PlaceEffort, Ctx: ctx,
-			Workers: cfg.PlaceWorkers, Trace: cfg.Trace.Anneal(),
+			Trace: cfg.Trace.Anneal(),
 		})
 	}
 	end()

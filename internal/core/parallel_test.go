@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vpga/internal/bench"
-	"vpga/internal/cells"
 )
 
 // stripRuntime clears the wall-clock-dependent report fields so
@@ -75,30 +74,5 @@ func TestRunMatrixParallelError(t *testing.T) {
 	}
 	if _, err := RunMatrix(context.Background(), suite, MatrixOptions{Seed: 1, PlaceEffort: 1, Parallel: 4}); err == nil {
 		t.Fatal("expected an error from the broken design")
-	}
-}
-
-// TestPlaceWorkersBitIdentical: a flow run's report is bit-identical
-// at any annealer worker count — PlaceWorkers is a pure throughput
-// knob, never part of a run's identity or cache key.
-func TestPlaceWorkersBitIdentical(t *testing.T) {
-	d := bench.ALU(8)
-	run := func(workers int) *Report {
-		rep, _, err := RunFlow(context.Background(), d, Config{
-			Arch: cells.GranularPLB(), Flow: FlowB, Seed: 5, PlaceEffort: 3,
-			PlaceWorkers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		rep.StripMetrics()
-		return rep
-	}
-	want := run(1)
-	for _, w := range []int{2, 4, 8} {
-		if got := run(w); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d report diverged:\n  workers=1: %+v\n  workers=%d: %+v",
-				w, want, w, got)
-		}
 	}
 }

@@ -90,10 +90,10 @@ func (a ArchSpec) Resolve() (*cells.PLBArch, error) {
 // run, because runs are seed-deterministic by construction.
 //
 // Wall-clock and observability knobs (tracers, progress callbacks,
-// timeouts, annealer worker counts, router state pools) are
-// deliberately not part of the request: they never change the report,
-// so they live on the transport (server options, ExecOptions,
-// Config.PlaceWorkers) instead of the content address.
+// timeouts, stage caches, router state pools) are deliberately not
+// part of the request: they never change the report, so they live on
+// the transport (server options, ExecOptions, Config.Trace and
+// Config.Stages) instead of the content address.
 type FlowRequest struct {
 	// Design names a built-in benchmark: "alu", "firewire", "fpu",
 	// "switch" or "fir". Mutually exclusive with RTL.

@@ -54,8 +54,7 @@ func RunRoutingSweep(ctx context.Context, d bench.Design, arch *cells.PLBArch, c
 	// ready-sized State.
 	pool := route.NewPool()
 	rep, art, err := RunFlow(ctx, d, Config{Arch: arch, Flow: FlowB, Seed: opts.Seed,
-		PlaceWorkers: opts.PlaceWorkers, Trace: run,
-		Stages: opts.Stages, routePool: pool})
+		Trace: run, Stages: opts.Stages, routePool: pool})
 	if err != nil {
 		return nil, err
 	}

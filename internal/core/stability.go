@@ -44,9 +44,6 @@ func claimVector(c Claims) ([]float64, []string) {
 type StabilityOptions struct {
 	// PlaceEffort scales annealing moves per object (0 = default).
 	PlaceEffort int
-	// PlaceWorkers sets each run's annealer worker count (see
-	// Config.PlaceWorkers); results are bit-identical at any setting.
-	PlaceWorkers int
 	// Parallel bounds each matrix's concurrent flow runs (0 =
 	// GOMAXPROCS). Results are bit-identical at any setting.
 	Parallel int
@@ -65,8 +62,8 @@ func RunStabilityStudy(ctx context.Context, suite bench.Suite, seeds []int64, op
 	st := &ClaimStats{Seeds: seeds}
 	for _, seed := range seeds {
 		m, err := RunMatrix(ctx, suite, MatrixOptions{
-			Seed: seed, PlaceEffort: opts.PlaceEffort, PlaceWorkers: opts.PlaceWorkers,
-			Parallel: opts.Parallel, Progress: opts.Progress, Trace: opts.Trace,
+			Seed: seed, PlaceEffort: opts.PlaceEffort, Parallel: opts.Parallel,
+			Progress: opts.Progress, Trace: opts.Trace,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: %w", seed, err)

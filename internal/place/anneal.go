@@ -1,33 +1,28 @@
 package place
 
-// Deterministic parallel annealing engine.
+// Deterministic batched annealing engine.
 //
 // Moves are generated in fixed-size batches from counter-based
 // per-proposal RNG streams: proposal m of a pass derives every random
 // draw from mix64(passKey + m·golden), so its outcome depends only on
-// (seed, pass, m) and the placement state at the start of its batch —
-// never on which worker evaluated it. Within a batch, proposals are
-// evaluated against the batch-start state (in parallel when
-// Options.Workers > 1) and committed strictly in proposal order; a
+// (seed, pass, m) and the placement state at the start of its batch.
+// Within a batch, proposals commit strictly in proposal order, and a
 // proposal whose objects' nets were touched by an earlier accepted
-// commit in the same batch is skipped deterministically. The result is
-// bit-identical at any worker count: one worker runs the same
-// algorithm fused, skipping conflicted proposals before evaluating
-// them — which provably cannot change any outcome, because an
+// commit in the same batch is skipped. The skip is checked before the
+// proposal is evaluated, which cannot change any outcome: an
 // unconflicted proposal's nets (and therefore every position and box
-// its delta reads) are untouched since the batch started.
+// its delta reads) are untouched since the batch started, so it sees
+// exactly the batch-start state.
 
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // annealBatch is the number of proposals per batch. It is part of the
-// algorithm definition (results change with it), so it is a constant,
-// not an option: determinism across worker counts requires the batch
-// boundaries to be fixed. Small enough to keep intra-batch conflict
-// skips rare, large enough to amortize the parallel dispatch.
+// algorithm definition (every result depends on the batch boundaries
+// and the conflict skip within them), so it is a constant, not an
+// option.
 const annealBatch = 32
 
 // expRejectFactor: a proposal with delta ≥ expRejectFactor·temp is
@@ -79,8 +74,8 @@ func (r *prng) intn(n int32) int32 {
 // acceptance uniform, the cost delta against the batch-start state,
 // and the tentative cost of every net the move touches plus the
 // tentative box of every wide one. oi and oj (oj = -1 for
-// displacements) are always populated, even for invalid proposals —
-// the commit loop's conflict check keys off them.
+// displacements) are always populated, even for invalid proposals, so
+// a slot always names the objects its proposal moves.
 type slot struct {
 	swap    bool
 	invalid bool // rejected before evaluation (self-swap, blocked site)
@@ -93,9 +88,7 @@ type slot struct {
 	boxes   []netBox  // tentative boxes of the wide nets, in nets order
 }
 
-// evalScratch is per-worker evaluation state: the shared-net marks a
-// swap evaluation needs. Worker-local so parallel evaluations never
-// contend.
+// evalScratch holds the shared-net marks a swap evaluation needs.
 type evalScratch struct {
 	mark  []int64
 	epoch int64
@@ -104,29 +97,18 @@ type evalScratch struct {
 // engineState is the annealing engine's reusable scratch, lazily sized
 // on first use and shared across passes.
 type engineState struct {
-	slots     []slot
+	slot      slot
+	scratch   evalScratch
 	batchMark []int64
 	batchEp   int64
-	scratch   []evalScratch // one per worker
 }
 
-func (p *Problem) engine(workers int) *engineState {
+func (p *Problem) engine() *engineState {
 	e := &p.eng
-	if e.slots == nil {
-		e.slots = make([]slot, annealBatch)
-	}
 	if len(e.batchMark) < len(p.Nets) {
 		e.batchMark = make([]int64, len(p.Nets))
 		e.batchEp = 0
-	}
-	for len(e.scratch) < workers {
-		e.scratch = append(e.scratch, evalScratch{})
-	}
-	for i := range e.scratch {
-		if len(e.scratch[i].mark) < len(p.Nets) {
-			e.scratch[i].mark = make([]int64, len(p.Nets))
-			e.scratch[i].epoch = 0
-		}
+		e.scratch = evalScratch{mark: make([]int64, len(p.Nets))}
 	}
 	return e
 }
@@ -134,8 +116,8 @@ func (p *Problem) engine(workers int) *engineState {
 // genMove draws the head of proposal m's stream: the moved object and
 // the move kind. The kind comes from the top bits of the object draw's
 // discarded low multiply word (one-in-eight swaps), saving a full draw
-// per proposal. Positions are not consulted, so the fused path can run
-// its conflict check before any further draws.
+// per proposal. Positions are not consulted, so runBatch can run its
+// conflict check before any further draws.
 func genMove(r *prng, movable []int32) (oi int32, swap bool, oj int32) {
 	hi, lo := bits.Mul64(r.next(), uint64(len(movable)))
 	oi = movable[hi]
@@ -234,21 +216,7 @@ func (p *Problem) evalSwap(r *prng, oi, oj int32, s *slot, ws *evalScratch) {
 	s.delta = delta
 }
 
-// evalProposal fills slot s for proposal m of a pass, evaluated
-// against the current (batch-start) state.
-func (p *Problem) evalProposal(passKey uint64, m int, movable []int32, window float64, s *slot, ws *evalScratch) {
-	r := propRNG(passKey, m)
-	oi, swap, oj := genMove(&r, movable)
-	if swap {
-		p.evalSwap(&r, oi, oj, s, ws)
-	} else {
-		p.evalDisplace(&r, oi, window, s)
-	}
-}
-
-// metropolis is the acceptance rule shared by every path (fused and
-// parallel run the identical instruction sequence, so it is one
-// deterministic algorithm). The cheap bounds 1-x ≤ exp(-x) ≤ 1/(1+x)
+// metropolis is the annealer's acceptance rule. The cheap bounds 1-x ≤ exp(-x) ≤ 1/(1+x)
 // resolve most uniforms without evaluating exp; only draws landing in
 // the narrow gap between the bounds pay for the real thing.
 func metropolis(delta, temp, u float64) bool {
@@ -321,13 +289,11 @@ func (p *Problem) commitSlot(e *engineState, s *slot, temp float64) bool {
 	return true
 }
 
-// runBatchFused is the single-worker path: proposals are processed in
-// order, each one conflict-checked before evaluation (an unconflicted
-// proposal sees exactly the batch-start state, so skipping early is
-// outcome-identical to the parallel path's evaluate-then-skip).
-func (p *Problem) runBatchFused(e *engineState, passKey uint64, base, n int, movable []int32, window, temp float64) (accepted, skipped int) {
-	s := &e.slots[0]
-	ws := &e.scratch[0]
+// runBatch runs proposals base..base+n-1 of a pass in order, each one
+// conflict-checked before it is evaluated (see the file comment).
+func (p *Problem) runBatch(e *engineState, passKey uint64, base, n int, movable []int32, window, temp float64) (accepted, skipped int) {
+	s := &e.slot
+	ws := &e.scratch
 	for m := base; m < base+n; m++ {
 		r := propRNG(passKey, m)
 		oi, swap, oj := genMove(&r, movable)
@@ -350,86 +316,12 @@ func (p *Problem) runBatchFused(e *engineState, passKey uint64, base, n int, mov
 	return accepted, skipped
 }
 
-// annealPool owns the evaluation workers of one Anneal call.
-type annealPool struct {
-	work chan evalChunk
-	wg   sync.WaitGroup
-}
-
-type evalChunk struct {
-	lo, hi  int // slot indexes within the batch
-	base    int // first proposal index of the batch
-	passKey uint64
-	movable []int32
-	window  float64
-	ws      *evalScratch
-}
-
-func (p *Problem) startPool(workers int) *annealPool {
-	pool := &annealPool{work: make(chan evalChunk)}
-	for w := 1; w < workers; w++ {
-		go func() {
-			for c := range pool.work {
-				for i := c.lo; i < c.hi; i++ {
-					p.evalProposal(c.passKey, c.base+i, c.movable, c.window, &p.eng.slots[i], c.ws)
-				}
-				pool.wg.Done()
-			}
-		}()
-	}
-	return pool
-}
-
-func (pool *annealPool) stop() { close(pool.work) }
-
-// runBatchParallel evaluates a batch's proposals concurrently against
-// the batch-start state (slots are disjoint per proposal; all shared
-// state is read-only during evaluation), then commits serially in
-// proposal order with the same conflict-skip rule — and the same
-// skip/invalid precedence — as the fused path.
-func (p *Problem) runBatchParallel(e *engineState, pool *annealPool, workers int, passKey uint64, base, n int, movable []int32, window, temp float64) (accepted, skipped int) {
-	per := (n + workers - 1) / workers
-	lo := per // chunk 0 runs on this goroutine
-	for w := 1; w < workers && lo < n; w++ {
-		hi := minInt(lo+per, n)
-		pool.wg.Add(1)
-		pool.work <- evalChunk{lo: lo, hi: hi, base: base, passKey: passKey,
-			movable: movable, window: window, ws: &e.scratch[w]}
-		lo = hi
-	}
-	for i := 0; i < minInt(per, n); i++ {
-		p.evalProposal(passKey, base+i, movable, window, &e.slots[i], &e.scratch[0])
-	}
-	pool.wg.Wait()
-	for i := 0; i < n; i++ {
-		s := &e.slots[i]
-		if p.conflicted(e, s.oi, s.swap, s.oj) {
-			skipped++
-			continue
-		}
-		if s.invalid {
-			continue
-		}
-		if p.commitSlot(e, s, temp) {
-			accepted++
-		}
-	}
-	return accepted, skipped
-}
-
 // runPass executes one temperature pass of `moves` proposals and
-// returns the accepted and conflict-skipped counts. Identical results
-// at any worker count.
-func (p *Problem) runPass(e *engineState, pool *annealPool, workers int, passKey uint64, moves int, movable []int32, window, temp float64) (accepted, skipped int) {
+// returns the accepted and conflict-skipped counts.
+func (p *Problem) runPass(e *engineState, passKey uint64, moves int, movable []int32, window, temp float64) (accepted, skipped int) {
 	for base := 0; base < moves; base += annealBatch {
-		n := minInt(annealBatch, moves-base)
 		e.batchEp++
-		var acc, skip int
-		if workers > 1 && n > 1 {
-			acc, skip = p.runBatchParallel(e, pool, workers, passKey, base, n, movable, window, temp)
-		} else {
-			acc, skip = p.runBatchFused(e, passKey, base, n, movable, window, temp)
-		}
+		acc, skip := p.runBatch(e, passKey, base, min(annealBatch, moves-base), movable, window, temp)
 		accepted += acc
 		skipped += skip
 	}
@@ -437,11 +329,4 @@ func (p *Problem) runPass(e *engineState, pool *annealPool, workers int, passKey
 	p.stats.Accepted += int64(accepted)
 	p.stats.Skipped += int64(skipped)
 	return accepted, skipped
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

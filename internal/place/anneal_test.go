@@ -21,9 +21,9 @@ func TestSoAKernelMatchesScratchRandomOps(t *testing.T) {
 	checkBoxes(t, p, "init")
 	rng := rand.New(rand.NewSource(99))
 	movable := p.movable()
-	e := p.engine(1)
+	e := p.engine()
 	var s slot
-	ws := &e.scratch[0]
+	ws := &e.scratch
 	var tri [][]int32 // movable pin pairs of 3-pin nets
 	for ni := range p.Nets {
 		if pins := p.netPins(int32(ni)); len(pins) == 3 {
@@ -92,107 +92,99 @@ func TestSoAKernelMatchesScratchRandomOps(t *testing.T) {
 	checkBoxes(t, p, "after external perturbation")
 }
 
-// TestAnnealDeterministicAcrossWorkers: the parallel annealing engine
-// must produce bit-identical placements at any worker count — every
-// object position, the final HPWL, and the solver counters.
-func TestAnnealDeterministicAcrossWorkers(t *testing.T) {
-	type result struct {
-		xs, ys []float64
-		hpwl   float64
-		stats  Stats
-	}
-	run := func(workers int) result {
-		p, _, _ := buildProblem(t, src, 31)
-		if err := p.Anneal(Options{Seed: 31, MovesPerObj: 4, Workers: workers}); err != nil {
-			t.Fatal(err)
-		}
-		r := result{hpwl: p.HPWL(), stats: p.Stats()}
-		for i := range p.Objs {
-			r.xs = append(r.xs, p.Objs[i].X)
-			r.ys = append(r.ys, p.Objs[i].Y)
-		}
-		return r
-	}
-	ref := run(1)
-	for _, workers := range []int{2, 4, 8} {
-		got := run(workers)
-		if got.hpwl != ref.hpwl {
-			t.Fatalf("workers=%d: HPWL %v, workers=1: %v", workers, got.hpwl, ref.hpwl)
-		}
-		if got.stats != ref.stats {
-			t.Fatalf("workers=%d: stats %+v, workers=1: %+v", workers, got.stats, ref.stats)
-		}
-		for i := range ref.xs {
-			if got.xs[i] != ref.xs[i] || got.ys[i] != ref.ys[i] {
-				t.Fatalf("workers=%d: object %d at (%v,%v), workers=1 at (%v,%v)",
-					workers, i, got.xs[i], got.ys[i], ref.xs[i], ref.ys[i])
-			}
-		}
+// evalProposal fills slot s for proposal m of a pass, evaluated
+// against the current state.
+func (p *Problem) evalProposal(passKey uint64, m int, movable []int32, window float64, s *slot, ws *evalScratch) {
+	r := propRNG(passKey, m)
+	oi, swap, oj := genMove(&r, movable)
+	if swap {
+		p.evalSwap(&r, oi, oj, s, ws)
+	} else {
+		p.evalDisplace(&r, oi, window, s)
 	}
 }
 
-// TestAnnealWorkersWithBlockedSites: worker-count invariance must hold
-// with a defect map installed, where proposals can go invalid.
-func TestAnnealWorkersWithBlockedSites(t *testing.T) {
-	blocked := func(xn, yn float64) bool { return xn < 0.25 && yn < 0.5 }
-	run := func(workers int) []float64 {
-		_, nl, arch := buildProblem(t, src, 32)
-		p, err := Build(nl, ArchArea(arch), Options{Seed: 32, Blocked: blocked})
-		if err != nil {
-			t.Fatal(err)
+// runPassReference is the batch definition written out without
+// runPass's early skip: it evaluates every proposal of a batch against
+// the batch-start state, then commits the batch in proposal order,
+// skipping a proposal whose nets an earlier accept in the batch moved
+// (the conflict check comes before the invalid check, as in runPass).
+// It also counts the unconflicted proposals that were invalid.
+func (p *Problem) runPassReference(e *engineState, passKey uint64, moves int, movable []int32, window, temp float64) (accepted, skipped, invalid int) {
+	slots := make([]slot, annealBatch)
+	for base := 0; base < moves; base += annealBatch {
+		batch := slots[:min(annealBatch, moves-base)]
+		for i := range batch {
+			p.evalProposal(passKey, base+i, movable, window, &batch[i], &e.scratch)
 		}
-		if err := p.Anneal(Options{Seed: 32, MovesPerObj: 4, Workers: workers}); err != nil {
-			t.Fatal(err)
-		}
-		var out []float64
-		for i := range p.Objs {
-			out = append(out, p.Objs[i].X, p.Objs[i].Y)
-		}
-		return out
-	}
-	ref := run(1)
-	for _, workers := range []int{3, 8} {
-		got := run(workers)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d diverged at coordinate %d: %v vs %v", workers, i, got[i], ref[i])
+		e.batchEp++
+		for i := range batch {
+			s := &batch[i]
+			if p.conflicted(e, s.oi, s.swap, s.oj) {
+				skipped++
+				continue
+			}
+			if s.invalid {
+				invalid++
+				continue
+			}
+			if p.commitSlot(e, s, temp) {
+				accepted++
 			}
 		}
 	}
+	return accepted, skipped, invalid
 }
 
-// TestRunPassFusedMatchesParallel pins the fused/parallel equivalence
-// at the pass level: identical batch streams applied to identical
-// problems must leave identical state and identical accept/skip
-// counts, at several temperatures and window sizes.
-func TestRunPassFusedMatchesParallel(t *testing.T) {
-	build := func() *Problem {
-		p, _, _ := buildProblem(t, src, 33)
-		p.initBoxes()
-		return p
-	}
-	a, b := build(), build()
-	movable := a.movable()
-	ea := a.engine(1)
-	workers := 4
-	eb := b.engine(workers)
-	pool := b.startPool(workers)
-	defer pool.stop()
-	window := math.Max(a.W, a.H) * 0.2
-	for pi, temp := range []float64{50, 5, 0.5, 1e-9} {
-		passKey := mix64(777 + uint64(pi)*golden64)
-		accA, skipA := a.runPass(ea, nil, 1, passKey, 600, movable, window, temp)
-		accB, skipB := b.runPass(eb, pool, workers, passKey, 600, b.movable(), window, temp)
-		if accA != accB || skipA != skipB {
-			t.Fatalf("pass %d: fused (acc=%d skip=%d) vs parallel (acc=%d skip=%d)",
-				pi, accA, skipA, accB, skipB)
-		}
-		for i := range a.Objs {
-			if a.Objs[i].X != b.Objs[i].X || a.Objs[i].Y != b.Objs[i].Y {
-				t.Fatalf("pass %d: object %d diverged", pi, i)
+// TestRunPassMatchesBatchReference pins runPass's skip-before-evaluate
+// to the batch definition: identical pass streams applied to identical
+// problems through runPass and runPassReference must leave identical
+// positions and identical accept/skip counts, at several temperatures,
+// on a clean and on a blocked die.
+func TestRunPassMatchesBatchReference(t *testing.T) {
+	nl, arch := mappedNetlist(t, src)
+	for _, die := range []struct {
+		name    string
+		blocked func(xn, yn float64) bool
+	}{
+		{"clean", nil},
+		{"blocked", goldenBlocked},
+	} {
+		build := func() *Problem {
+			p, err := Build(nl, ArchArea(arch), Options{Seed: 33, Blocked: die.blocked})
+			if err != nil {
+				t.Fatal(err)
 			}
+			p.initBoxes()
+			return p
 		}
-		checkBoxes(t, b, "parallel pass")
+		a, b := build(), build()
+		ea, eb := a.engine(), b.engine()
+		window := math.Max(a.W, a.H) * 0.2
+		invalid := 0
+		for pi, temp := range []float64{50, 5, 0.5, 1e-9} {
+			passKey := mix64(777 + uint64(pi)*golden64)
+			accA, skipA := a.runPass(ea, passKey, 600, a.movable(), window, temp)
+			accB, skipB, inv := b.runPassReference(eb, passKey, 600, b.movable(), window, temp)
+			if accA != accB || skipA != skipB {
+				t.Fatalf("%s pass %d: runPass (acc=%d skip=%d) vs reference (acc=%d skip=%d)",
+					die.name, pi, accA, skipA, accB, skipB)
+			}
+			for i := range a.Objs {
+				if a.Objs[i].X != b.Objs[i].X || a.Objs[i].Y != b.Objs[i].Y {
+					t.Fatalf("%s pass %d: object %d diverged", die.name, pi, i)
+				}
+			}
+			checkBoxes(t, a, "runPass")
+			checkBoxes(t, b, "reference pass")
+			if skipA == 0 {
+				t.Fatalf("%s pass %d: no proposal was conflict-skipped", die.name, pi)
+			}
+			invalid += inv
+		}
+		if die.blocked != nil && invalid == 0 {
+			t.Fatalf("%s: no unconflicted proposal was invalid", die.name)
+		}
 	}
 }
 

@@ -66,9 +66,7 @@ type Problem struct {
 
 // Stats counts annealer work (proposals and acceptances across every
 // Anneal/Refine call on this problem) for benchmarks and profiling.
-// Skipped counts proposals dropped by the batch conflict rule; it is
-// identical at any worker count, like everything else the annealer
-// produces.
+// Skipped counts proposals dropped by the batch conflict rule.
 type Stats struct {
 	Proposed, Accepted, Skipped int64
 }
@@ -81,25 +79,20 @@ type AreaFunc func(n *netlist.Node) float64
 
 // Options tunes the annealer.
 type Options struct {
-	// Utilization is the cell-area / core-area target (default 0.70).
-	Utilization float64
 	// Seed drives the annealer's RNG.
 	Seed int64
-	// MovesPerObj scales annealing effort (default 8).
+	// MovesPerObj scales annealing effort (default 8; negative is an
+	// error).
 	MovesPerObj int
-	// Workers sets the number of parallel evaluation workers for the
-	// annealing engine (default 1). Results are bit-identical at any
-	// worker count: moves come from counter-based per-proposal RNG
-	// streams, are evaluated against batch-start state, and commit in
-	// proposal order regardless of which worker evaluated them.
-	Workers int
 	// Outline forces the die dimensions (used when placing into a
-	// fixed PLB array); zero means size from utilization.
+	// fixed PLB array); zero means size from the cell area at the
+	// utilization target.
 	OutlineW, OutlineH float64
 	// Blocked marks defective die sites in normalized coordinates
 	// (position / die dimension, so a defect map applies to any die
 	// size): the initial spread and every annealing move keep movable
-	// objects out of blocked positions. Nil means a clean die.
+	// objects out of blocked positions. Nil means a clean die. Build
+	// installs it; Anneal does not read it.
 	Blocked func(xn, yn float64) bool
 	// Ctx cancels a running Anneal at pass boundaries; a nil context
 	// never cancels. Cancellation only ever truncates the schedule, so
@@ -113,13 +106,14 @@ type Options struct {
 	Trace *obs.AnnealTrace
 }
 
+// utilization is the cell-area / core-area target of a die sized from
+// its netlist.
+const utilization = 0.70
+
 // Build extracts the placement problem from a netlist. Objects are
 // gates, flip-flops and IO pads; nodes sharing a nonzero Group become
 // one object. Pads are distributed around the periphery and fixed.
 func Build(nl *netlist.Netlist, area AreaFunc, opts Options) (*Problem, error) {
-	if opts.Utilization == 0 {
-		opts.Utilization = 0.70
-	}
 	p := &Problem{
 		objOf: map[netlist.NodeID]int32{},
 		rng:   rand.New(rand.NewSource(opts.Seed + 1)),
@@ -162,10 +156,13 @@ func Build(nl *netlist.Netlist, area AreaFunc, opts Options) (*Problem, error) {
 	if opts.OutlineW > 0 {
 		p.W, p.H = opts.OutlineW, opts.OutlineH
 	} else {
-		side := math.Sqrt(totalArea / opts.Utilization)
+		side := math.Sqrt(totalArea / utilization)
 		p.W, p.H = side, side
 	}
-	p.setBlocked(opts.Blocked)
+	if blocked := opts.Blocked; blocked != nil {
+		// The map is normalized; the annealer tests absolute positions.
+		p.blocked = func(x, y float64) bool { return blocked(x/p.W, y/p.H) }
+	}
 
 	// Nets: one per driver with readers.
 	for _, n := range nl.Nodes() {
@@ -247,16 +244,6 @@ func (p *Problem) randomSpread() {
 		p.Objs[i].X = x
 		p.Objs[i].Y = y
 	}
-}
-
-// setBlocked installs a normalized-coordinate blocked map, wrapped to
-// the die's absolute frame. The blocked set only ever excludes
-// positions, so installing one never invalidates cached net boxes.
-func (p *Problem) setBlocked(blocked func(xn, yn float64) bool) {
-	if blocked == nil {
-		return
-	}
-	p.blocked = func(x, y float64) bool { return blocked(x/p.W, y/p.H) }
 }
 
 // freePosition draws a uniform die position outside blocked regions.
@@ -410,22 +397,19 @@ func (p *Problem) SetNetWeight(i int, w float64) {
 	p.Nets[i].Weight = w
 }
 
-// Anneal runs the global simulated-annealing placement. When
-// opts.Ctx is cancelled the anneal stops at the next pass boundary and
-// returns the context's error; the placement is then incomplete but
-// structurally valid. If opts.Blocked is set (or Build received a
-// blocked map), movable objects are evicted from blocked sites before
-// annealing and no move re-enters one.
+// Anneal runs the global simulated-annealing placement. It reads
+// opts.Seed, MovesPerObj, Ctx and Trace; a negative MovesPerObj is an
+// error. When opts.Ctx is cancelled the anneal stops at the next pass
+// boundary and returns the context's error; the placement is then
+// incomplete but structurally valid. If Build received a blocked map,
+// movable objects are evicted from blocked sites before annealing and
+// no move re-enters one.
 func (p *Problem) Anneal(opts Options) error {
-	if opts.MovesPerObj == 0 {
+	switch {
+	case opts.MovesPerObj < 0:
+		return fmt.Errorf("place: negative MovesPerObj %d", opts.MovesPerObj)
+	case opts.MovesPerObj == 0:
 		opts.MovesPerObj = 8
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if opts.Blocked != nil {
-		p.setBlocked(opts.Blocked)
 	}
 	movable := p.movable()
 	if len(movable) == 0 {
@@ -438,15 +422,10 @@ func (p *Problem) Anneal(opts Options) error {
 	rng := rand.New(rand.NewSource(opts.Seed + 7))
 	p.evictBlocked(rng, movable)
 	p.initBoxes()
-	e := p.engine(workers)
-	temp := p.estimateInitialTemp(rng, movable, &e.slots[0]) * 0.05
+	e := p.engine()
+	temp := p.estimateInitialTemp(rng, movable, &e.slot) * 0.05
 	window := math.Max(p.W, p.H) * 0.15
 	minTemp := temp * 1e-4
-	var pool *annealPool
-	if workers > 1 {
-		pool = p.startPool(workers)
-		defer pool.stop()
-	}
 	seedKey := mix64(uint64(opts.Seed))
 	for pass := uint64(1); temp > minTemp; pass++ {
 		if err := ctxErr(opts.Ctx); err != nil {
@@ -454,7 +433,7 @@ func (p *Problem) Anneal(opts Options) error {
 		}
 		moves := opts.MovesPerObj * len(movable)
 		passKey := mix64(seedKey + pass*golden64)
-		accepted, _ := p.runPass(e, pool, workers, passKey, moves, movable, window, temp)
+		accepted, _ := p.runPass(e, passKey, moves, movable, window, temp)
 		opts.Trace.Pass(temp, moves, accepted)
 		rate := float64(accepted) / float64(moves)
 		// VPR-style schedule: cool slower near the critical acceptance
@@ -538,8 +517,8 @@ func (p *Problem) Refine(windowFrac float64, passes int, seed int64) {
 		return
 	}
 	p.initBoxes()
-	e := p.engine(1)
-	s := &e.slots[0]
+	e := p.engine()
+	s := &e.slot
 	window := math.Max(p.W, p.H) * windowFrac
 	for pass := 0; pass < passes; pass++ {
 		for _, oi := range movable {

@@ -16,9 +16,9 @@ import (
 	"vpga/internal/techmap"
 )
 
-// buildProblem compiles RTL through the flow front end and builds a
-// placement problem for the granular architecture.
-func buildProblem(t *testing.T, src string, seed int64) (*Problem, *netlist.Netlist, *cells.PLBArch) {
+// mappedNetlist runs RTL through the flow front end onto the granular
+// architecture.
+func mappedNetlist(t *testing.T, src string) (*netlist.Netlist, *cells.PLBArch) {
 	t.Helper()
 	arch := cells.GranularPLB()
 	nl, err := rtl.Compile(src)
@@ -38,11 +38,19 @@ func buildProblem(t *testing.T, src string, seed int64) (*Problem, *netlist.Netl
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Build(cres.Netlist, ArchArea(arch), Options{Seed: seed})
+	return cres.Netlist, arch
+}
+
+// buildProblem compiles RTL through the flow front end and builds a
+// placement problem for the granular architecture.
+func buildProblem(t *testing.T, src string, seed int64) (*Problem, *netlist.Netlist, *cells.PLBArch) {
+	t.Helper()
+	nl, arch := mappedNetlist(t, src)
+	p, err := Build(nl, ArchArea(arch), Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, cres.Netlist, arch
+	return p, nl, arch
 }
 
 const src = `
@@ -219,10 +227,10 @@ func TestIncrementalBoxesMatchScratch(t *testing.T) {
 	checkBoxes(t, p, "after init")
 	movable := p.movable()
 	window := math.Max(p.W, p.H) * 0.2
-	e := p.engine(1)
+	e := p.engine()
 	for pi, temp := range []float64{100, 10, 1, 0.1, 0} {
 		passKey := mix64(42 + uint64(pi)*golden64)
-		p.runPass(e, nil, 1, passKey, 400, movable, window, math.Max(temp, 1e-9))
+		p.runPass(e, passKey, 400, movable, window, math.Max(temp, 1e-9))
 		checkBoxes(t, p, "after pass")
 	}
 	if st := p.Stats(); st.Proposed < 2000 || st.Accepted == 0 {
@@ -317,6 +325,22 @@ func TestAnnealCancellation(t *testing.T) {
 	// A nil / live context completes normally.
 	if err := p.Anneal(Options{Seed: 15, MovesPerObj: 4}); err != nil {
 		t.Fatalf("clean Anneal returned %v", err)
+	}
+}
+
+// TestAnnealRejectsNegativeMoves: a negative MovesPerObj is an error,
+// and the rejected call leaves the placement and counters untouched.
+func TestAnnealRejectsNegativeMoves(t *testing.T) {
+	p, _, _ := buildProblem(t, src, 16)
+	before := p.Positions()
+	if err := p.Anneal(Options{Seed: 16, MovesPerObj: -2}); err == nil {
+		t.Fatal("Anneal accepted MovesPerObj -2")
+	}
+	if st := p.Stats(); st != (Stats{}) {
+		t.Fatalf("rejected anneal counted work: %+v", st)
+	}
+	if !slices.Equal(p.Positions(), before) {
+		t.Fatal("rejected anneal moved objects")
 	}
 }
 

@@ -61,6 +61,12 @@ func Elaborate(m *Module) (*netlist.Netlist, error) {
 	return e.nl, nil
 }
 
+// maxWidth is the widest signal the front end builds: a declared
+// width, a concatenation or a replication. Every other expression is
+// no wider than its operands, its 64-bit literal or the declared width
+// it is assigned to, so none exceeds it.
+const maxWidth = 256
+
 func (e *elaborator) errf(line int, format string, args ...interface{}) error {
 	return fmt.Errorf("rtl: line %d: %s", line, fmt.Sprintf(format, args...))
 }
@@ -69,7 +75,7 @@ func (e *elaborator) declare(name string, width, line int) error {
 	if _, dup := e.widths[name]; dup {
 		return e.errf(line, "duplicate declaration of %q", name)
 	}
-	if width <= 0 || width > 256 {
+	if width <= 0 || width > maxWidth {
 		return e.errf(line, "width %d of %q out of range", width, name)
 	}
 	e.widths[name] = width
@@ -328,6 +334,9 @@ func (e *elaborator) eval(expr Expr, ctxWidth int) (signal, error) {
 				return nil, err
 			}
 			out = append(out, bits...)
+			if len(out) > maxWidth {
+				return nil, e.errf(x.Line, "concatenation wider than %d bits", maxWidth)
+			}
 		}
 		return out, nil
 
@@ -335,6 +344,9 @@ func (e *elaborator) eval(expr Expr, ctxWidth int) (signal, error) {
 		bits, err := e.eval(x.X, 0)
 		if err != nil {
 			return nil, err
+		}
+		if x.Count > maxWidth || x.Count*len(bits) > maxWidth {
+			return nil, e.errf(x.Line, "replication of %d copies of %d bits is wider than %d bits", x.Count, len(bits), maxWidth)
 		}
 		var out signal
 		for i := 0; i < x.Count; i++ {

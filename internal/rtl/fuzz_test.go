@@ -6,15 +6,27 @@ import (
 	"testing"
 )
 
+// compileSeeds are small well-formed sources that the mutation test
+// and the fuzz target start from.
+var compileSeeds = []string{
+	"module m(input a, output y); assign y = a; endmodule",
+	"module m(input [7:0] a, output [7:0] y); wire [7:0] w = a + 8'hFF; assign y = w ^ {8{a[0]}}; endmodule",
+	"module m(input clk, input d, output q); reg r; always r <= d; assign q = r; endmodule",
+}
+
+// Two short sources that ask for far wider signals than any declared
+// one: a million-fold replication (64 bytes) and a concatenation of
+// 400 256-bit replications. Both must be elaboration errors.
+var (
+	wideReplication   = "module m(input a, output y); assign y = ^{1000000{a}}; endmodule"
+	wideConcatenation = "module m(input a, output y); assign y = ^{" +
+		strings.TrimSuffix(strings.Repeat("{256{a}},", 400), ",") + "}; endmodule"
+)
+
 // TestCompileNeverPanics feeds the front end mutated and random
 // sources: every input must produce either a netlist or an error,
 // never a panic.
 func TestCompileNeverPanics(t *testing.T) {
-	seeds := []string{
-		"module m(input a, output y); assign y = a; endmodule",
-		"module m(input [7:0] a, output [7:0] y); wire [7:0] w = a + 8'hFF; assign y = w ^ {8{a[0]}}; endmodule",
-		"module m(input clk, input d, output q); reg r; always r <= d; assign q = r; endmodule",
-	}
 	tokens := []string{"module", "endmodule", "input", "output", "wire", "reg",
 		"assign", "always", "<=", "=", ";", ",", "(", ")", "[", "]", "{", "}",
 		"?", ":", "+", "-", "&", "|", "^", "~", "<<", ">>", "==", "!=",
@@ -28,7 +40,7 @@ func TestCompileNeverPanics(t *testing.T) {
 		}()
 		_, _ = Compile(src)
 	}
-	for _, seed := range seeds {
+	for _, seed := range compileSeeds {
 		run(seed)
 		// Deletion mutations.
 		for trial := 0; trial < 200; trial++ {
@@ -76,12 +88,43 @@ func TestDeepExpressionNesting(t *testing.T) {
 	}
 }
 
-func TestWidthBoundary(t *testing.T) {
-	// 256 is the widest legal signal; 257 errors cleanly.
-	if _, err := Compile("module m(input [255:0] a, output [255:0] y); assign y = a; endmodule"); err != nil {
-		t.Fatalf("width 256 rejected: %v", err)
+// FuzzCompile: every source yields a netlist or an error, never a
+// panic.
+func FuzzCompile(f *testing.F) {
+	for _, src := range append(compileSeeds, wideReplication, wideConcatenation) {
+		f.Add(src)
 	}
-	if _, err := Compile("module m(input [256:0] a, output y); assign y = a[0]; endmodule"); err == nil {
-		t.Fatal("width 257 accepted")
+	f.Fuzz(func(t *testing.T, src string) {
+		nl, err := Compile(src)
+		if (nl == nil) == (err == nil) {
+			t.Fatalf("Compile returned netlist %v and error %v", nl != nil, err)
+		}
+	})
+}
+
+// TestWidthBoundary: 256 bits is the widest legal signal, whether
+// declared, concatenated or replicated; 257 errors cleanly.
+func TestWidthBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		src string
+		ok  bool
+	}{
+		{"module m(input [255:0] a, output [255:0] y); assign y = a; endmodule", true},
+		{"module m(input [256:0] a, output y); assign y = a[0]; endmodule", false},
+		{"module m(input a, output [255:0] y); assign y = {256{a}}; endmodule", true},
+		{"module m(input a, output y); assign y = ^{257{a}}; endmodule", false},
+		{"module m(input [1:0] a, output y); assign y = ^{129{a}}; endmodule", false},
+		{"module m(input a, output y); assign y = ^{{128{a}}, {128{a}}}; endmodule", true},
+		{"module m(input a, output y); assign y = ^{a, {256{a}}}; endmodule", false},
+		{wideReplication, false},
+		{wideConcatenation, false},
+	} {
+		nl, err := Compile(tc.src)
+		if tc.ok && err != nil {
+			t.Errorf("%.70s: rejected: %v", tc.src, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%.70s: accepted, %d nodes", tc.src, len(nl.Nodes()))
+		}
 	}
 }
