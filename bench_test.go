@@ -377,18 +377,18 @@ func BenchmarkPack(b *testing.B) {
 
 func BenchmarkMaxFlowKCut(b *testing.B) {
 	b.ReportAllocs()
-	// Dinic-based 3-feasible cut search over a mid-size cone.
+	// Dinic-based 3-feasible cut search over a mid-size cone, through
+	// one finder reused across searches as compaction uses it.
 	const n = 400
-	fanins := func(i int) []int {
-		if i < 8 {
-			return nil
-		}
-		return []int{i % 8, i - 3, i - 7}
+	fanins := make([][]int, n)
+	for i := 8; i < n; i++ {
+		fanins[i] = []int{i % 8, i - 3, i - 7}
 	}
 	isLeaf := func(i int) bool { return i < 8 }
+	finder := flowmap.NewCutFinder(fanins)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		flowmap.FindKCut(n-1, 3, 64, fanins, isLeaf)
+		finder.Find(n-1, 3, 64, isLeaf)
 	}
 }
 

@@ -195,22 +195,35 @@ func clusterize(nl *netlist.Netlist, arch *cells.PLBArch) (map[netlist.NodeID]*c
 		k := nl.Node(id).Kind
 		return k == netlist.KindGate && nl.Node(id).Type != "INV" && nl.Node(id).Type != "BUF"
 	}
-	fanins := func(n int) []int {
-		id := netlist.NodeID(n)
-		if !isGate(id) {
-			return nil
-		}
-		out := make([]int, 0, len(nl.Node(id).Fanins))
-		for _, f := range nl.Node(id).Fanins {
-			out = append(out, int(f))
-		}
-		return out
-	}
 
 	// Full-adder macros first: their sum/carry cones share the
 	// propagate node internally (Sec. 2.2), which duplication-free
 	// clustering would split at the multi-fanout boundary.
-	extractFullAdders(nl, arch, order, isGate, fanins, claimed, clusters)
+	extractFullAdders(nl, arch, order, isGate, claimed, clusters)
+
+	// The cut search expands gates only: every other node reads
+	// nothing here. One flat array backs every gate's fanin list.
+	total := 0
+	for _, n := range nl.Nodes() {
+		total += len(n.Fanins)
+	}
+	fanins := make([][]int, nl.NumNodes())
+	flat := make([]int, 0, total)
+	for _, n := range nl.Nodes() {
+		if !isGate(n.ID) {
+			continue
+		}
+		start := len(flat)
+		for _, f := range n.Fanins {
+			flat = append(flat, int(f))
+		}
+		fanins[n.ID] = flat[start:len(flat):len(flat)]
+	}
+	finder := flowmap.NewCutFinder(fanins)
+	isLeaf := func(n int) bool {
+		nid := netlist.NodeID(n)
+		return !isGate(nid) || claimed[nid] || len(nl.Fanouts(nid)) > 1
+	}
 
 	// Reverse topological order: roots near the outputs claim first.
 	for i := len(order) - 1; i >= 0; i-- {
@@ -218,15 +231,8 @@ func clusterize(nl *netlist.Netlist, arch *cells.PLBArch) (map[netlist.NodeID]*c
 		if !isGate(id) || claimed[id] {
 			continue
 		}
-		isLeaf := func(n int) bool {
-			nid := netlist.NodeID(n)
-			if nid == id {
-				return false
-			}
-			return !isGate(nid) || claimed[nid] || len(nl.Fanouts(nid)) > 1
-		}
 		var cl *cluster
-		if res, ok := flowmap.FindKCut(int(id), 3, maxConeNodes, fanins, isLeaf); ok {
+		if res, ok := finder.Find(int(id), 3, maxConeNodes, isLeaf); ok {
 			fn := clusterFunc(nl, id, res)
 			if cfg := bestAreaConfig(arch, fn); cfg != nil {
 				memberArea := 0.0
@@ -344,7 +350,7 @@ type faCandidate struct {
 // the two cones — exactly the Section 2.2 sharing of the propagate
 // MUX between the sum and carry functions.
 func extractFullAdders(nl *netlist.Netlist, arch *cells.PLBArch,
-	order []netlist.NodeID, isGate func(netlist.NodeID) bool, fanins func(int) []int,
+	order []netlist.NodeID, isGate func(netlist.NodeID) bool,
 	claimed map[netlist.NodeID]bool, clusters map[netlist.NodeID]*cluster) {
 	fa := arch.Config("FA")
 	if fa == nil || !arch.CanPack([]*cells.Config{fa}) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"vpga/internal/cells"
 	"vpga/internal/logic"
 	"vpga/internal/netlist"
 )
@@ -16,18 +15,46 @@ const maxFanout = 10
 // balanced buffer tree. Buffers are absorbed by the PLBs' programmable
 // buffers at packing time; in flow a they are ordinary cells. Returns
 // the number of buffers added.
-func insertBuffers(nl *netlist.Netlist, arch *cells.PLBArch) int {
+func insertBuffers(nl *netlist.Netlist) int {
 	bufTT := logic.VarTT(1, 0)
 	added := 0
-	// Snapshot the node list: we append while iterating.
-	nodes := append([]*netlist.Node(nil), nl.Nodes()...)
+	// The original nodes only: buffers are appended while iterating.
+	nodes := nl.Nodes()
+	// Snapshot every driver's fanout list, in Fanouts' order, before
+	// inserting any buffer: one index build, not one per buffer tree.
+	// Buffering a net rewires only that driver's sinks, and the new
+	// buffers read only that driver or each other, so every later
+	// driver's list is still the snapshot's (DESIGN §6). CSR form: off
+	// counts, then prefix-sums to list ends, then the back-to-front
+	// fill walks each down to its list's start.
+	off := make([]int32, len(nodes)+1)
+	for _, n := range nodes {
+		for _, f := range n.Fanins {
+			if f != netlist.Nil {
+				off[f]++
+			}
+		}
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	sinks := make([]netlist.NodeID, off[len(nodes)])
+	for i := len(nodes) - 1; i >= 0; i-- {
+		fanins := nodes[i].Fanins
+		for j := len(fanins) - 1; j >= 0; j-- {
+			if f := fanins[j]; f != netlist.Nil {
+				off[f]--
+				sinks[off[f]] = nodes[i].ID
+			}
+		}
+	}
 	for _, n := range nodes {
 		switch n.Kind {
 		case netlist.KindGate, netlist.KindDFF, netlist.KindInput:
 		default:
 			continue
 		}
-		outs := append([]netlist.NodeID(nil), nl.Fanouts(n.ID)...)
+		outs := sinks[off[n.ID]:off[n.ID+1]]
 		if len(outs) <= maxFanout {
 			continue
 		}

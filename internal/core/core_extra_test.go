@@ -15,7 +15,6 @@ import (
 )
 
 func TestInsertBuffersCapsFanout(t *testing.T) {
-	arch := cells.GranularPLB()
 	nl := netlist.New("fan")
 	a := nl.AddInput("a")
 	// One driver gate with 37 sinks.
@@ -25,7 +24,7 @@ func TestInsertBuffersCapsFanout(t *testing.T) {
 		nl.AddOutput("o"+string(rune('A'+i)), g)
 	}
 	ref := nl.Clone()
-	added := insertBuffers(nl, arch)
+	added := insertBuffers(nl)
 	if added == 0 {
 		t.Fatal("no buffers inserted for fanout 37")
 	}
@@ -43,12 +42,11 @@ func TestInsertBuffersCapsFanout(t *testing.T) {
 }
 
 func TestInsertBuffersLeavesSmallNetsAlone(t *testing.T) {
-	arch := cells.GranularPLB()
 	nl := netlist.New("small")
 	a := nl.AddInput("a")
 	g := nl.AddGate("MX", logic.VarTT(1, 0), a)
 	nl.AddOutput("y", g)
-	if added := insertBuffers(nl, arch); added != 0 {
+	if added := insertBuffers(nl); added != 0 {
 		t.Fatalf("inserted %d buffers into a fanout-1 design", added)
 	}
 }

@@ -639,7 +639,7 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 		}
 		// Physical synthesis: fanout-driven buffer insertion (Sec. 3.1's
 		// "buffer insertion ... to meet timing constraints").
-		rep.BuffersInserted = insertBuffers(impl, cfg.Arch)
+		rep.BuffersInserted = insertBuffers(impl)
 		end()
 		save(StageCompact, func() any {
 			return &compactArtifact{

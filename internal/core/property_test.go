@@ -134,7 +134,7 @@ func TestFullFlowPropertyRandomNetlists(t *testing.T) {
 				t.Fatal(err)
 			}
 			impl := cres.Netlist
-			insertBuffers(impl, arch)
+			insertBuffers(impl)
 			if err := netlist.Equivalent(nl, impl, 6, 4, int64(trial)); err != nil {
 				t.Fatalf("trial %d %s: buffering broke behaviour: %v", trial, arch.Name, err)
 			}
@@ -162,7 +162,7 @@ func TestViaProgramsForAllCompactedInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		insertBuffers(cres.Netlist, arch)
+		insertBuffers(cres.Netlist)
 		if _, err := viamap.FabricVias(cres.Netlist, arch); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

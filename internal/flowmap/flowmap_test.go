@@ -2,9 +2,8 @@ package flowmap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
-
-	"vpga/internal/aig"
 )
 
 func TestDinicBasic(t *testing.T) {
@@ -61,7 +60,7 @@ func chainFanins(n int) func(int) []int {
 func TestFindKCutChain(t *testing.T) {
 	fanins := chainFanins(10)
 	isLeaf := func(n int) bool { return n == 0 }
-	res, ok := FindKCut(9, 3, 100, fanins, isLeaf)
+	res, ok := findBoth(t, 10, 9, 3, 100, fanins, isLeaf)
 	if !ok {
 		t.Fatal("chain must have a 1-feasible cut")
 	}
@@ -82,10 +81,10 @@ func TestFindKCutInfeasible(t *testing.T) {
 		return nil
 	}
 	isLeaf := func(n int) bool { return n < 5 }
-	if _, ok := FindKCut(5, 3, 100, fanins, isLeaf); ok {
+	if _, ok := findBoth(t, 6, 5, 3, 100, fanins, isLeaf); ok {
 		t.Fatal("5-input node reported 3-feasible")
 	}
-	if res, ok := FindKCut(5, 5, 100, fanins, isLeaf); !ok || len(res.Leaves) != 5 {
+	if res, ok := findBoth(t, 6, 5, 5, 100, fanins, isLeaf); !ok || len(res.Leaves) != 5 {
 		t.Fatalf("5-input node must be 5-feasible: %v %v", res, ok)
 	}
 }
@@ -105,7 +104,7 @@ func TestFindKCutReconvergence(t *testing.T) {
 		return nil
 	}
 	isLeaf := func(n int) bool { return n == 0 }
-	res, ok := FindKCut(4, 1, 100, fanins, isLeaf)
+	res, ok := findBoth(t, 5, 4, 1, 100, fanins, isLeaf)
 	if !ok {
 		t.Fatal("diamond must have a 1-feasible cut")
 	}
@@ -121,70 +120,6 @@ func TestFindKCutReconvergence(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("cluster missing root")
-	}
-}
-
-// randomAIG builds a random AIG with the given PI count and AND count.
-func randomAIG(pis, ands int, seed int64) *aig.AIG {
-	rng := rand.New(rand.NewSource(seed))
-	g := aig.New()
-	var lits []aig.Lit
-	for i := 0; i < pis; i++ {
-		lits = append(lits, g.AddPI())
-	}
-	for i := 0; i < ands; i++ {
-		a := lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 1)
-		b := lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 1)
-		lits = append(lits, g.And(a, b))
-	}
-	g.AddPO(lits[len(lits)-1])
-	return g
-}
-
-func aigFanins(g *aig.AIG) func(int) []int {
-	return func(n int) []int {
-		if !g.IsAnd(n) {
-			return nil
-		}
-		f0, f1 := g.Fanins(n)
-		return []int{f0.Node(), f1.Node()}
-	}
-}
-
-func aigTopo(g *aig.AIG) []int {
-	topo := make([]int, g.NumNodes())
-	for i := range topo {
-		topo[i] = i // AIG node indexes are already topological
-	}
-	return topo
-}
-
-func TestLabelsOnAIG(t *testing.T) {
-	g := randomAIG(8, 200, 7)
-	isSource := func(n int) bool { return !g.IsAnd(n) }
-	lab := Labels(aigTopo(g), g.NumNodes(), 3, 400, aigFanins(g), isSource)
-	// Labels must be positive for AND nodes, monotone along edges, and
-	// every stored cut must be ≤ K and actually cut the cone.
-	for n := 1; n < g.NumNodes(); n++ {
-		if !g.IsAnd(n) {
-			if lab.Label[n] != 0 {
-				t.Fatalf("source %d labeled %d", n, lab.Label[n])
-			}
-			continue
-		}
-		if lab.Label[n] < 1 {
-			t.Fatalf("AND %d labeled %d", n, lab.Label[n])
-		}
-		for _, f := range aigFanins(g)(n) {
-			if lab.Label[f] > lab.Label[n] {
-				t.Fatalf("label not monotone: %d(%d) reads %d(%d)", n, lab.Label[n], f, lab.Label[f])
-			}
-		}
-		cut := lab.Cut[n]
-		if len(cut) == 0 || len(cut) > 3 {
-			t.Fatalf("node %d has cut of size %d", n, len(cut))
-		}
-		verifyCut(t, n, cut, aigFanins(g))
 	}
 }
 
@@ -210,64 +145,6 @@ func verifyCut(t *testing.T, root int, cut []int, fanins func(int) []int) {
 		}
 	}
 	walk(root)
-}
-
-func TestLabelsMatchDepthBound(t *testing.T) {
-	// A balanced 8-input AND tree has AND-depth 3. With K=3: level-1
-	// ANDs get label 1; level-2 ANDs are 4-input cones (label 2); the
-	// root's every 3-feasible cut contains a label-2 node (the 4
-	// level-1 nodes alone would be a 4-cut), so the optimal root label
-	// is exactly 3 — FlowMap must achieve it.
-	g := aig.New()
-	var lits []aig.Lit
-	for i := 0; i < 8; i++ {
-		lits = append(lits, g.AddPI())
-	}
-	for len(lits) > 1 {
-		var next []aig.Lit
-		for i := 0; i+1 < len(lits); i += 2 {
-			next = append(next, g.And(lits[i], lits[i+1]))
-		}
-		lits = next
-	}
-	root := lits[0]
-	g.AddPO(root)
-	isSource := func(n int) bool { return !g.IsAnd(n) }
-	lab := Labels(aigTopo(g), g.NumNodes(), 3, 400, aigFanins(g), isSource)
-	if got := lab.Label[root.Node()]; got != 3 {
-		t.Fatalf("8-AND tree root label = %d, want exactly 3", got)
-	}
-	cover := lab.Cover([]int{root.Node()}, isSource)
-	if len(cover) == 0 {
-		t.Fatal("empty cover")
-	}
-	for r, leaves := range cover {
-		if len(leaves) > 3 {
-			t.Fatalf("cover root %d has %d leaves", r, len(leaves))
-		}
-	}
-}
-
-func TestCoverReachesSources(t *testing.T) {
-	g := randomAIG(6, 80, 3)
-	isSource := func(n int) bool { return !g.IsAnd(n) }
-	lab := Labels(aigTopo(g), g.NumNodes(), 3, 300, aigFanins(g), isSource)
-	root := g.PO(0).Node()
-	if isSource(root) {
-		t.Skip("degenerate random graph")
-	}
-	cover := lab.Cover([]int{root}, isSource)
-	// Every cover leaf is either a source or itself covered.
-	for r, leaves := range cover {
-		for _, l := range leaves {
-			if isSource(l) {
-				continue
-			}
-			if _, ok := cover[l]; !ok {
-				t.Fatalf("leaf %d of cluster %d not covered", l, r)
-			}
-		}
-	}
 }
 
 func TestDinicZeroFlow(t *testing.T) {
@@ -296,6 +173,11 @@ func TestFindKCutRootIsLeaf(t *testing.T) {
 	if _, ok := FindKCut(0, 3, 10, fanins, isLeaf); ok {
 		t.Fatal("leaf root produced a cut")
 	}
+	// The finder expands its root whatever isLeaf says; a root reading
+	// nothing still has no cut.
+	if _, ok := NewCutFinder(make([][]int, 1)).Find(0, 3, 10, isLeaf); ok {
+		t.Fatal("fanin-less root produced a cut")
+	}
 }
 
 func TestFindKCutConeBoundTruncation(t *testing.T) {
@@ -303,27 +185,82 @@ func TestFindKCutConeBoundTruncation(t *testing.T) {
 	// (truncation points become leaves).
 	fanins := chainFanins(100)
 	isLeaf := func(n int) bool { return n == 0 }
-	res, ok := FindKCut(99, 3, 5, fanins, isLeaf)
+	res, ok := findBoth(t, 100, 99, 3, 5, fanins, isLeaf)
 	if !ok {
 		t.Fatal("bounded cone found no cut")
 	}
 	verifyCut(t, 99, res.Leaves, fanins)
 }
 
-func TestLabelsSingleNode(t *testing.T) {
-	// Graph: node 1 reads node 0 (source).
-	fanins := func(n int) []int {
-		if n == 1 {
-			return []int{0}
+// faninTable materializes the fanins of nodes 0..n-1.
+func faninTable(n int, fanins func(int) []int) [][]int {
+	tab := make([][]int, n)
+	for i := range tab {
+		tab[i] = fanins(i)
+	}
+	return tab
+}
+
+// findBoth runs the reference FindKCut and a CutFinder over the graph's
+// first n nodes, fails the test unless they agree, and returns the
+// reference's answer.
+func findBoth(t *testing.T, n, root, K, maxCone int, fanins func(int) []int, isLeaf func(int) bool) (CutResult, bool) {
+	t.Helper()
+	want, wantOK := FindKCut(root, K, maxCone, fanins, isLeaf)
+	got, ok := NewCutFinder(faninTable(n, fanins)).Find(root, K, maxCone, isLeaf)
+	if !sameCut(got, ok, want, wantOK) {
+		t.Fatalf("root %d K %d: finder %v %v, reference %v %v", root, K, got, ok, want, wantOK)
+	}
+	return want, wantOK
+}
+
+func sameCut(a CutResult, aOK bool, b CutResult, bOK bool) bool {
+	return aOK == bOK && slices.Equal(a.Leaves, b.Leaves) && slices.Equal(a.Cluster, b.Cluster)
+}
+
+// TestKCutMatchesReference runs one reused CutFinder per seeded random
+// DAG against the map-based reference for every non-leaf root, with K 1
+// to 4 and bounded and unbounded cones: leaves, cluster and the ok flag
+// must be identical.
+func TestKCutMatchesReference(t *testing.T) {
+	found := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 40 + rng.Intn(160)
+		sources := 3 + rng.Intn(8)
+		tab := make([][]int, n)
+		boundary := make([]bool, n)
+		for i := sources; i < n; i++ {
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				// Mostly recent nodes, so cones are deep; repeats allowed.
+				lo := max(0, i-1-rng.Intn(24))
+				tab[i] = append(tab[i], lo+rng.Intn(i-lo))
+			}
+			boundary[i] = rng.Intn(8) == 0
 		}
-		return nil
+		isLeaf := func(v int) bool { return v < sources || boundary[v] }
+		fanins := func(v int) []int { return tab[v] }
+		finder := NewCutFinder(tab)
+		for root := sources; root < n; root++ {
+			if boundary[root] {
+				continue
+			}
+			for K := 1; K <= 4; K++ {
+				for _, maxCone := range []int{6, 48, 1 << 30} {
+					want, wantOK := FindKCut(root, K, maxCone, fanins, isLeaf)
+					got, ok := finder.Find(root, K, maxCone, isLeaf)
+					if !sameCut(got, ok, want, wantOK) {
+						t.Fatalf("seed %d root %d K %d maxCone %d: finder %v %v, reference %v %v",
+							seed, root, K, maxCone, got, ok, want, wantOK)
+					}
+					if ok {
+						found++
+					}
+				}
+			}
+		}
 	}
-	isSource := func(n int) bool { return n == 0 }
-	lab := Labels([]int{0, 1}, 2, 3, 10, fanins, isSource)
-	if lab.Label[1] != 1 {
-		t.Fatalf("label = %d, want 1", lab.Label[1])
-	}
-	if len(lab.Cut[1]) != 1 || lab.Cut[1][0] != 0 {
-		t.Fatalf("cut = %v", lab.Cut[1])
+	if found == 0 {
+		t.Fatal("no search found a cut; the comparison is vacuous")
 	}
 }

@@ -15,10 +15,11 @@ type Dinic struct {
 	next []int
 	head []int
 	// Per-phase scratch, allocated on the first MaxFlow and reset in
-	// place on every phase after it.
+	// place on every phase after it, and across Reset.
 	level []int
 	iter  []int
 	queue []int
+	reach []bool
 }
 
 // Inf is the effectively-unbounded capacity.
@@ -26,11 +27,20 @@ const Inf int64 = 1 << 60
 
 // NewDinic creates a solver with n nodes and no edges.
 func NewDinic(n int) *Dinic {
-	h := make([]int, n)
-	for i := range h {
-		h[i] = -1
+	d := &Dinic{}
+	d.Reset(n)
+	return d
+}
+
+// Reset empties the solver to n nodes and no edges, keeping its
+// storage for the next graph.
+func (d *Dinic) Reset(n int) {
+	d.n = n
+	d.to, d.cap, d.next = d.to[:0], d.cap[:0], d.next[:0]
+	d.head = d.head[:0]
+	for range n {
+		d.head = append(d.head, -1)
 	}
-	return &Dinic{n: n, head: h}
 }
 
 // AddEdge adds a directed edge u→v with the given capacity and returns
@@ -49,11 +59,9 @@ func (d *Dinic) AddEdge(u, v int, c int64) int {
 }
 
 func (d *Dinic) bfs(s, t int) bool {
-	if len(d.level) != d.n {
-		d.level = make([]int, d.n)
-	}
-	for i := range d.level {
-		d.level[i] = -1
+	d.level = d.level[:0]
+	for range d.n {
+		d.level = append(d.level, -1)
 	}
 	queue := append(d.queue[:0], s)
 	d.level[s] = 0
@@ -114,11 +122,12 @@ func (d *Dinic) MaxFlow(s, t int, limit int64) int64 {
 
 // ResidualReachable returns the set of nodes reachable from s in the
 // residual graph; the min cut consists of saturated edges leaving the
-// set.
+// set. The slice belongs to d and is overwritten by the next call.
 func (d *Dinic) ResidualReachable(s int) []bool {
-	seen := make([]bool, d.n)
+	seen := append(d.reach[:0], make([]bool, d.n)...)
+	d.reach = seen
 	seen[s] = true
-	stack := []int{s}
+	stack := append(d.queue[:0], s)
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -129,6 +138,7 @@ func (d *Dinic) ResidualReachable(s int) []bool {
 			}
 		}
 	}
+	d.queue = stack
 	return seen
 }
 

@@ -84,10 +84,6 @@ type Options struct {
 	// MovesPerObj scales annealing effort (default 8; negative is an
 	// error).
 	MovesPerObj int
-	// Outline forces the die dimensions (used when placing into a
-	// fixed PLB array); zero means size from the cell area at the
-	// utilization target.
-	OutlineW, OutlineH float64
 	// Blocked marks defective die sites in normalized coordinates
 	// (position / die dimension, so a defect map applies to any die
 	// size): the initial spread and every annealing move keep movable
@@ -106,8 +102,8 @@ type Options struct {
 	Trace *obs.AnnealTrace
 }
 
-// utilization is the cell-area / core-area target of a die sized from
-// its netlist.
+// utilization is the cell-area / core-area target: Build sizes every
+// die square so its cells fill this fraction of it.
 const utilization = 0.70
 
 // Build extracts the placement problem from a netlist. Objects are
@@ -153,18 +149,16 @@ func Build(nl *netlist.Netlist, area AreaFunc, opts Options) (*Problem, error) {
 	if totalArea == 0 {
 		return nil, fmt.Errorf("place: netlist %s has no placeable area", nl.Name)
 	}
-	if opts.OutlineW > 0 {
-		p.W, p.H = opts.OutlineW, opts.OutlineH
-	} else {
-		side := math.Sqrt(totalArea / utilization)
-		p.W, p.H = side, side
-	}
+	side := math.Sqrt(totalArea / utilization)
+	p.W, p.H = side, side
 	if blocked := opts.Blocked; blocked != nil {
 		// The map is normalized; the annealer tests absolute positions.
 		p.blocked = func(x, y float64) bool { return blocked(x/p.W, y/p.H) }
 	}
 
-	// Nets: one per driver with readers.
+	// Nets: one per driver with readers. inNet[obj] == node ID + 1
+	// marks obj as already listed on the node's net.
+	inNet := make([]int32, len(p.Objs))
 	for _, n := range nl.Nodes() {
 		driver, ok := p.objOf[n.ID]
 		if !ok {
@@ -174,11 +168,12 @@ func Build(nl *netlist.Netlist, area AreaFunc, opts Options) (*Problem, error) {
 		if len(outs) == 0 {
 			continue
 		}
-		seen := map[int32]bool{driver: true}
+		mark := int32(n.ID) + 1
+		inNet[driver] = mark
 		objs := []int32{driver}
 		for _, o := range outs {
-			if idx, ok := p.objOf[o]; ok && !seen[idx] {
-				seen[idx] = true
+			if idx, ok := p.objOf[o]; ok && inNet[idx] != mark {
+				inNet[idx] = mark
 				objs = append(objs, idx)
 			}
 		}

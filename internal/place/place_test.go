@@ -138,18 +138,6 @@ func TestRefineDoesNotWorsen(t *testing.T) {
 	}
 }
 
-func TestFixedOutline(t *testing.T) {
-	p, nl, arch := buildProblem(t, src, 5)
-	_ = p
-	p2, err := Build(nl, ArchArea(arch), Options{Seed: 5, OutlineW: 40, OutlineH: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.W != 40 || p2.H != 30 {
-		t.Fatalf("outline not honored: %vx%v", p2.W, p2.H)
-	}
-}
-
 func TestNetWeights(t *testing.T) {
 	p, _, _ := buildProblem(t, src, 6)
 	base := p.HPWL()

@@ -55,6 +55,9 @@ func Elaborate(m *Module) (*netlist.Netlist, error) {
 	if err := e.run(); err != nil {
 		return nil, err
 	}
+	if err := e.checkBudget(0); err != nil {
+		return nil, err
+	}
 	if err := e.nl.Validate(); err != nil {
 		return nil, fmt.Errorf("rtl: elaborated netlist invalid: %w", err)
 	}
@@ -67,11 +70,29 @@ func Elaborate(m *Module) (*netlist.Netlist, error) {
 // it is assigned to, so none exceeds it.
 const maxWidth = 256
 
+// maxNodes bounds the netlist one source may elaborate to: 35× the
+// largest benchmark design (NetworkSwitch at paper scale, 29,383
+// nodes). An operator on two 256-bit signals builds up to ~1,300 nodes
+// from a few bytes of source, so without a budget a short body could
+// demand billions. Every declaration and expression checks it first,
+// so no elaboration passes it by more than one operator or register.
+const maxNodes = 1 << 20
+
+func (e *elaborator) checkBudget(line int) error {
+	if e.nl.NumNodes() > maxNodes {
+		return e.errf(line, "design elaborates to more than %d nodes", maxNodes)
+	}
+	return nil
+}
+
 func (e *elaborator) errf(line int, format string, args ...interface{}) error {
 	return fmt.Errorf("rtl: line %d: %s", line, fmt.Sprintf(format, args...))
 }
 
 func (e *elaborator) declare(name string, width, line int) error {
+	if err := e.checkBudget(line); err != nil {
+		return err
+	}
 	if _, dup := e.widths[name]; dup {
 		return e.errf(line, "duplicate declaration of %q", name)
 	}
@@ -247,6 +268,9 @@ func (e *elaborator) fit(bits signal, width int) signal {
 
 // eval lowers expr; ctxWidth is a hint for unsized literals only.
 func (e *elaborator) eval(expr Expr, ctxWidth int) (signal, error) {
+	if err := e.checkBudget(expr.exprLine()); err != nil {
+		return nil, err
+	}
 	switch x := expr.(type) {
 	case Literal:
 		w := x.Width

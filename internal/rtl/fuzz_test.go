@@ -23,6 +23,14 @@ var (
 		strings.TrimSuffix(strings.Repeat("{256{a}},", 400), ",") + "}; endmodule"
 )
 
+// addChain adds b to a n times on 256-bit ports: each 4-byte " + b"
+// elaborates to about 1,280 nodes. addChain(1000) (4 KB of source)
+// passes the node budget and must be an elaboration error.
+func addChain(n int) string {
+	return "module m(input [255:0] a, input [255:0] b, output [255:0] y); assign y = a" +
+		strings.Repeat(" + b", n) + "; endmodule"
+}
+
 // TestCompileNeverPanics feeds the front end mutated and random
 // sources: every input must produce either a netlist or an error,
 // never a panic.
@@ -91,7 +99,7 @@ func TestDeepExpressionNesting(t *testing.T) {
 // FuzzCompile: every source yields a netlist or an error, never a
 // panic.
 func FuzzCompile(f *testing.F) {
-	for _, src := range append(compileSeeds, wideReplication, wideConcatenation) {
+	for _, src := range append(compileSeeds, wideReplication, wideConcatenation, addChain(1000)) {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -103,7 +111,9 @@ func FuzzCompile(f *testing.F) {
 }
 
 // TestWidthBoundary: 256 bits is the widest legal signal, whether
-// declared, concatenated or replicated; 257 errors cleanly.
+// declared, concatenated or replicated; 257 errors cleanly. Width-legal
+// operators are bounded by the node budget: 400 256-bit adds
+// (512,769 nodes) elaborate, 1,000 pass the budget and error.
 func TestWidthBoundary(t *testing.T) {
 	for _, tc := range []struct {
 		src string
@@ -118,6 +128,8 @@ func TestWidthBoundary(t *testing.T) {
 		{"module m(input a, output y); assign y = ^{a, {256{a}}}; endmodule", false},
 		{wideReplication, false},
 		{wideConcatenation, false},
+		{addChain(400), true},
+		{addChain(1000), false},
 	} {
 		nl, err := Compile(tc.src)
 		if tc.ok && err != nil {

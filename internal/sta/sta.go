@@ -75,8 +75,8 @@ func params(arch *cells.PLBArch, typ string) (timingParams, bool) {
 }
 
 // Analyze runs STA. prob and routes may be nil for pre-layout timing
-// (zero wire parasitics); when given, wire RC is taken from the routed
-// trees.
+// (zero wire parasitics); when given, prob is nl's placement problem
+// and wire RC is taken from the routed trees.
 func Analyze(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, routes *route.Result, opts Options) (*Report, error) {
 	if opts.TopK == 0 {
 		opts.TopK = 10
@@ -86,22 +86,18 @@ func Analyze(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, rout
 		return nil, err
 	}
 
-	// Map driver node -> (net index, sink object index -> position).
-	type netRef struct {
-		idx  int
-		sink map[int32]int
-	}
-	netOf := map[netlist.NodeID]netRef{}
+	// Map driver node -> net index (-1: drives no routed net). Every
+	// node of a driver object maps to that object's last net.
+	var netOf []int32
 	if prob != nil && routes != nil {
+		netOf = make([]int32, nl.NumNodes())
+		for i := range netOf {
+			netOf[i] = -1
+		}
 		for ni := range prob.Nets {
-			n := &prob.Nets[ni]
-			ref := netRef{idx: ni, sink: map[int32]int{}}
-			for k, oi := range n.Objs[1:] {
-				ref.sink[oi] = k
-			}
-			driver := n.Objs[0]
+			driver := prob.Nets[ni].Objs[0]
 			for _, nodeID := range prob.Objs[driver].Nodes {
-				netOf[nodeID] = ref
+				netOf[nodeID] = int32(ni)
 			}
 		}
 	}
@@ -109,24 +105,23 @@ func Analyze(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, rout
 	// wireDelayCap returns the wire delay from driver node f to sink
 	// node g and the driver's total wire capacitance.
 	wireDelayCap := func(f, g netlist.NodeID) (float64, float64) {
-		if prob == nil || routes == nil {
+		if netOf == nil || netOf[f] < 0 {
 			return 0, 0
 		}
-		ref, ok := netOf[f]
-		if !ok {
-			return 0, 0
-		}
+		ni := int(netOf[f])
 		sinkObj := prob.ObjIndex(g)
 		if sinkObj < 0 {
-			return 0, routes.NetCap(ref.idx)
+			return 0, routes.NetCap(ni)
 		}
-		k, ok := ref.sink[sinkObj]
-		if !ok {
-			// Same placement object (e.g. inside an FA macro): no wire.
-			return 0, routes.NetCap(ref.idx)
+		// A sink's position among the net's sinks. Build lists each
+		// object once per net, so the first match is the only one.
+		for k, oi := range prob.Nets[ni].Objs[1:] {
+			if oi == sinkObj {
+				return routes.WireRC(ni, k)
+			}
 		}
-		d, c := routes.WireRC(ref.idx, k)
-		return d, c
+		// Same placement object (e.g. inside an FA macro): no wire.
+		return 0, routes.NetCap(ni)
 	}
 
 	// Load capacitance per driver: sink pin caps + wire cap.
@@ -145,10 +140,8 @@ func Analyze(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, rout
 				total += 4 // pad load
 			}
 		}
-		if prob != nil && routes != nil {
-			if ref, ok := netOf[id]; ok {
-				total += routes.NetCap(ref.idx)
-			}
+		if netOf != nil && netOf[id] >= 0 {
+			total += routes.NetCap(int(netOf[id]))
 		}
 		return total
 	}

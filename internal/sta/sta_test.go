@@ -286,10 +286,11 @@ func TestRepeaterModelCapsWireDelay(t *testing.T) {
 		a := nl.AddInput("a")
 		g := nl.AddGate("MX", logic.VarTT(1, 0), a)
 		nl.AddOutput("y", g)
-		prob, err := place.Build(nl, place.ArchArea(arch), place.Options{Seed: 1, OutlineW: 400, OutlineH: 400})
+		prob, err := place.Build(nl, place.ArchArea(arch), place.Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		prob.W, prob.H = 400, 400
 		return nl, prob
 	}
 	nl, prob := mk()
