@@ -399,8 +399,25 @@ func extractFullAdders(nl *netlist.Netlist, arch *cells.PLBArch,
 			break // one class hit per root is enough
 		}
 	}
+	// Pair in sorted leaf order, not map order: the order numbers the FA
+	// groups and decides which of two overlapping candidates is claimed.
+	keys := make([]key, 0, len(xors))
+	for k := range xors {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.a != b.a {
+			return a.a < b.a
+		}
+		if a.b != b.b {
+			return a.b < b.b
+		}
+		return a.c < b.c
+	})
 	var group int32 = 1
-	for k, x := range xors {
+	for _, k := range keys {
+		x := xors[k]
 		m, ok := majs[k]
 		if !ok || x.root == m.root {
 			continue

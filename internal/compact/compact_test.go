@@ -1,9 +1,12 @@
 package compact
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"vpga/internal/aig"
+	"vpga/internal/bench"
 	"vpga/internal/cells"
 	"vpga/internal/netlist"
 	"vpga/internal/rtl"
@@ -115,6 +118,37 @@ func TestFullAdderExtraction(t *testing.T) {
 	_, _, lres := mapAndCompact(t, adderSrc, cells.LUTPLB())
 	if lres.FullAdders != 0 {
 		t.Errorf("LUT arch extracted %d full adders", lres.FullAdders)
+	}
+}
+
+// TestFullAdderPairingDeterministic compacts one mapped netlist 20
+// times per design and requires a single encoding: FA group numbers
+// and the claim among overlapping candidates must not follow map
+// order.
+func TestFullAdderPairingDeterministic(t *testing.T) {
+	arch := cells.GranularPLB()
+	for _, d := range []bench.Design{bench.ALU(8), bench.FIR(8, 8), bench.FPU(12)} {
+		_, mapped, first := mapAndCompact(t, d.RTL, arch)
+		if first.FullAdders == 0 {
+			t.Fatalf("%s: no full adders to pair", d.Name)
+		}
+		want, err := json.Marshal(first.Netlist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < 20; i++ {
+			res, err := Run(mapped.Netlist, arch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(res.Netlist)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: compaction %d encodes differently from the first", d.Name, i)
+			}
+		}
 	}
 }
 
