@@ -98,14 +98,8 @@ func (g *AIG) AddPO(l Lit) int {
 // PO returns output i's literal.
 func (g *AIG) PO(i int) Lit { return g.pos[i] }
 
-// SetPO replaces output i's literal.
-func (g *AIG) SetPO(i int, l Lit) { g.pos[i] = l }
-
 // PIs returns the PI node indexes in creation order.
 func (g *AIG) PIs() []int { return g.pis }
-
-// IsPI reports whether n is an input node.
-func (g *AIG) IsPI(n int) bool { return g.nodes[n].isPI }
 
 // IsAnd reports whether n is an AND node.
 func (g *AIG) IsAnd(n int) bool { return n > 0 && !g.nodes[n].isPI }

@@ -298,22 +298,67 @@ func flowErr(d bench.Design, cfg Config, stage string, err error) *FlowError {
 	return &FlowError{Design: d.Name, Arch: arch, Flow: cfg.Flow.String(), Stage: stage, Err: err}
 }
 
-// stageFault consults the fault-injection harness at the named stage
-// boundary (fault points "stage.<name>"). A fired fault fails the
-// stage through the same *FlowError path a real error takes, so the
-// repair ladder and the service's retry layer see injected and
-// organic failures identically; a crash-kind fault kills the process
-// here, modeling a SIGKILL landing between stages. Disabled injection
-// costs one atomic load per stage. Restored stages skip their fault
-// point — the stage did not run.
-func stageFault(d bench.Design, cfg Config, stage string) *FlowError {
-	if faultinject.Active() == nil {
+// flowRun is one RunFlow call's fixed state, read by its stage helper
+// and its stage-cache links. The stages' intermediate results stay
+// RunFlow's locals, so each becomes garbage after its last reader.
+type flowRun struct {
+	ctx    context.Context
+	d      bench.Design
+	cfg    Config
+	rep    *Report
+	prefix *stagePrefix // nil without a stage cache
+}
+
+// stage runs one flow stage. With fault set it first consults the
+// fault-injection harness at the stage's fault point "stage.<name>"; a
+// restored stage, and a stage's second span, skip it. fn runs inside
+// the stage's trace span, and its error fails the run as the stage's
+// *FlowError — or as timeout/cancelled once the context has expired,
+// since a solver stopped by the context fails with its own error. A
+// fired fault fails the stage through the same *FlowError path a real
+// error takes, so the repair ladder and the service's retry layer see
+// injected and organic failures identically; a crash-kind fault kills
+// the process here, modeling a SIGKILL landing between stages.
+// Disabled injection costs one atomic load per stage.
+func (r *flowRun) stage(name string, fault bool, fn func() error) error {
+	if fault && faultinject.Active() != nil {
+		if err := faultinject.Check("stage." + name); err != nil {
+			return flowErr(r.d, r.cfg, name, err)
+		}
+	}
+	end := r.cfg.Trace.Stage(name)
+	err := fn()
+	end()
+	if err == nil {
 		return nil
 	}
-	if err := faultinject.Check("stage." + stage); err != nil {
-		return flowErr(d, cfg, stage, err)
+	if fe := ctxFlowErr(r.ctx, r.d, r.cfg); fe != nil {
+		return fe
 	}
-	return nil
+	return flowErr(r.d, r.cfg, name, err)
+}
+
+// link records one chain link's outcome — provenance plus the cache's
+// per-stage counters — and reports whether the cache satisfied the
+// link. Call it exactly once per chain link, in pipeline order.
+func (r *flowRun) link(stage string) bool {
+	i := r.prefix.index(stage)
+	if i < 0 {
+		return false
+	}
+	hit := i <= r.prefix.depth
+	r.cfg.Stages.bump(stage, hit)
+	r.rep.StageCache = append(r.rep.StageCache, StageUse{Stage: stage, Key: r.prefix.chain[i].Key, Hit: hit})
+	return hit
+}
+
+// save stores a computed stage's artifact, best-effort; without a
+// cache, or for a stage the cache does not keep, the payload is never
+// even encoded.
+func (r *flowRun) save(stage string, build func() any) {
+	if key := r.prefix.key(stage); key != "" && r.cfg.Stages.keeps(stage) {
+		r.cfg.Stages.put(key, encodeStage(build()))
+	}
 }
 
 // ctxFlowErr reports a context expiry as a *FlowError, distinguishing
@@ -334,134 +379,6 @@ func ctxStage(err error) string {
 		return "timeout"
 	}
 	return "cancelled"
-}
-
-// stagePrefix is the resolved cached prefix of one run: the stage-key
-// chain, the index of the deepest stage the cache can satisfy, and the
-// decoded artifacts the restore consumes.
-type stagePrefix struct {
-	chain []StageKey
-	depth int // chain index of the deepest cache-satisfied stage; -1 = none
-
-	mapArt  *mapArtifact
-	compact *compactArtifact
-	place   *placeArtifact
-	pack    *packArtifact
-	route   *routeArtifact
-}
-
-// index locates a stage in the chain (-1 when absent, e.g. pack in
-// flow a).
-func (p *stagePrefix) index(stage string) int {
-	if p == nil {
-		return -1
-	}
-	for i, sk := range p.chain {
-		if sk.Stage == stage {
-			return i
-		}
-	}
-	return -1
-}
-
-// restored reports whether the cache satisfies the stage: its chain
-// index is within the restored prefix.
-func (p *stagePrefix) restored(stage string) bool {
-	if p == nil || p.depth < 0 {
-		return false
-	}
-	i := p.index(stage)
-	return i >= 0 && i <= p.depth
-}
-
-// demote caps the restored depth at the named stage's predecessor —
-// the fallback when a restore step fails shape validation mid-run.
-func (p *stagePrefix) demote(stage string) {
-	if p == nil {
-		return
-	}
-	if i := p.index(stage); i >= 0 && p.depth >= i {
-		p.depth = i - 1
-	}
-}
-
-// resolvePrefix probes the stage cache for the deepest restorable
-// prefix of the chain. Depth N is restorable when artifact N decodes
-// along with every shallower artifact its restore consumes: routing
-// needs the compacted netlist plus the position source (pack for flow
-// b, placement for flow a); packing and placement need the compacted
-// netlist. Decode failures are silent misses — the store already
-// evicted anything corrupt.
-func resolvePrefix(stages *StageCache, chain []StageKey, flow FlowKind) *stagePrefix {
-	p := &stagePrefix{chain: chain, depth: -1}
-	key := make(map[string]string, len(chain))
-	for _, sk := range chain {
-		key[sk.Stage] = sk.Key
-	}
-	tried := map[string]bool{}
-	load := func(stage string, out any) bool {
-		raw, ok := stages.get(key[stage])
-		return ok && decodeStage(raw, out)
-	}
-	okCompact := func() bool {
-		if !tried[StageCompact] {
-			tried[StageCompact] = true
-			var a compactArtifact
-			if load(StageCompact, &a) && a.Netlist != nil {
-				p.compact = &a
-			}
-		}
-		return p.compact != nil
-	}
-	okPlace := func() bool {
-		if !tried[StagePlace] {
-			tried[StagePlace] = true
-			var a placeArtifact
-			if load(StagePlace, &a) && len(a.Positions) == 2*a.Objects {
-				p.place = &a
-			}
-		}
-		return p.place != nil
-	}
-	okPack := func() bool {
-		if !tried[StagePack] {
-			tried[StagePack] = true
-			var a packArtifact
-			if load(StagePack, &a) && a.Pack != nil && len(a.Positions) == 2*a.Objects {
-				p.pack = &a
-			}
-		}
-		return p.pack != nil
-	}
-	okRoute := func() bool {
-		if !tried[StageRoute] {
-			tried[StageRoute] = true
-			var a routeArtifact
-			if load(StageRoute, &a) && a.Routes != nil {
-				p.route = &a
-			}
-		}
-		return p.route != nil
-	}
-
-	switch {
-	case okRoute() && okCompact() &&
-		((flow == FlowB && okPack()) || (flow == FlowA && okPlace())):
-		p.depth = p.index(StageRoute)
-	case flow == FlowB && okPack() && okCompact():
-		p.depth = p.index(StagePack)
-	case okPlace() && okCompact():
-		p.depth = p.index(StagePlace)
-	case okCompact():
-		p.depth = p.index(StageCompact)
-	default:
-		var a mapArtifact
-		if load(StageMap, &a) && a.Netlist != nil {
-			p.mapArt = &a
-			p.depth = p.index(StageMap)
-		}
-	}
-	return p
 }
 
 // RunFlow pushes one design through the staged pipeline on a resolved
@@ -490,7 +407,6 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 	if cfg.PlaceEffort == 0 {
 		cfg.PlaceEffort = 6
 	}
-	stages := cfg.Stages
 	rep := &Report{Design: d.Name, Arch: cfg.Arch.Name, Flow: cfg.Flow.String()}
 	if cfg.Defects != nil {
 		rep.DefectSummary = cfg.Defects.String()
@@ -498,108 +414,41 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 	if err := ctxFlowErr(ctx, d, cfg); err != nil {
 		return nil, nil, err
 	}
-
-	// Resolve the deepest cached prefix of this run's key chain.
-	var prefix *stagePrefix
-	if stages != nil {
+	r := &flowRun{ctx: ctx, d: d, cfg: cfg, rep: rep}
+	if cfg.Stages != nil {
+		// Resolve the deepest cached prefix of this run's key chain.
 		if chain, err := stageChain(d, cfg); err == nil {
-			prefix = resolvePrefix(stages, chain, cfg.Flow)
-		}
-	}
-	// mark records one chain link's outcome — provenance plus the
-	// cache's per-stage counters — and reports whether the cache
-	// satisfied the stage. Call exactly once per chain stage, in
-	// pipeline order.
-	mark := func(stage string) bool {
-		if prefix == nil {
-			return false
-		}
-		i := prefix.index(stage)
-		if i < 0 {
-			return false
-		}
-		hit := i <= prefix.depth
-		stages.bump(stage, hit)
-		rep.StageCache = append(rep.StageCache, StageUse{Stage: stage, Key: prefix.chain[i].Key, Hit: hit})
-		return hit
-	}
-	// save stores a computed stage's artifact, best-effort; without a
-	// cache, or for a stage the cache does not keep, the payload is
-	// never even encoded.
-	save := func(stage string, build func() any) {
-		if !stages.keeps(stage) || prefix == nil {
-			return
-		}
-		if key := prefix.key(stage); key != "" {
-			stages.put(key, encodeStage(build()))
+			r.prefix = resolvePrefix(cfg.Stages, chain)
 		}
 	}
 
 	// Synthesis front end: rtl → synth → map. A restored mapped (or
 	// deeper) netlist replaces all three; the RTL netlist itself is
 	// still elaborated on demand for verification.
-	var impl *netlist.Netlist // the implementation netlist in flight
-	var rtlNet *netlist.Netlist
-	var err error
-	compileFrontEnd := func() (*techmap.Result, *FlowError) {
-		if fe := stageFault(d, cfg, "rtl"); fe != nil {
-			return nil, fe
-		}
-		end := cfg.Trace.Stage("rtl")
-		rtlNet, err = compileRTL(d)
-		end()
-		if err != nil {
-			return nil, flowErr(d, cfg, "rtl", err)
-		}
-		if fe := stageFault(d, cfg, "synth"); fe != nil {
-			return nil, fe
-		}
-		end = cfg.Trace.Stage("synth")
-		des, err := aig.FromNetlist(rtlNet)
-		if err != nil {
-			end()
-			return nil, flowErr(d, cfg, "synth", err)
-		}
-		des.Optimize(3)
-		end()
-		if fe := stageFault(d, cfg, "map"); fe != nil {
-			return nil, fe
-		}
-		end = cfg.Trace.Stage("map")
-		mapped, err := techmap.Map(des, cfg.Arch, techmap.Options{AreaPasses: 1})
-		end()
-		if err != nil {
-			return nil, flowErr(d, cfg, "map", err)
-		}
-		return mapped, nil
-	}
-
-	compactHit := prefix.restored(StageCompact)
-	mapHit := compactHit || prefix.restored(StageMap)
-	var mapped *techmap.Result
-	if mapHit {
-		mark(StageMap)
-		if !compactHit {
-			rep.GateCount = prefix.mapArt.GateCount
+	var rtlNet, mappedNet *netlist.Netlist
+	if r.link(StageMap) {
+		if !r.prefix.restored(StageCompact) {
+			ma := r.prefix.art(StageMap).(*mapArtifact)
+			mappedNet = ma.Netlist
+			rep.GateCount = ma.GateCount
 		}
 	} else {
-		mark(StageMap)
-		var fe *FlowError
-		if mapped, fe = compileFrontEnd(); fe != nil {
-			return nil, nil, fe
+		var mapped *techmap.Result
+		var err error
+		if rtlNet, mapped, err = r.frontEnd(); err != nil {
+			return nil, nil, err
 		}
+		mappedNet = mapped.Netlist
 		rep.GateCount = mapped.Area
 		// Snapshot the mapped netlist before compaction touches it.
-		save(StageMap, func() any {
-			return &mapArtifact{Schema: stageArtifactSchema, Netlist: mapped.Netlist, GateCount: rep.GateCount}
+		r.save(StageMap, func() any {
+			return &mapArtifact{Schema: stageArtifactSchema, Netlist: mappedNet, GateCount: rep.GateCount}
 		})
 	}
 
-	// Regularity-driven logic compaction (the span also covers the
-	// buffer-insertion tail of logic synthesis).
-	if compactHit {
-		mark(StageCompact)
-		ca := prefix.compact
+	var impl *netlist.Netlist // the implementation netlist in flight
+	if r.link(StageCompact) {
+		ca := r.prefix.art(StageCompact).(*compactArtifact)
 		impl = ca.Netlist
 		rep.GateCount = ca.GateCount
 		rep.CompactionReduction = ca.Reduction
@@ -607,41 +456,34 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 		rep.FullAdders = ca.FullAdders
 		rep.BuffersInserted = ca.BuffersInserted
 	} else {
-		mark(StageCompact)
-		if fe := stageFault(d, cfg, "compact"); fe != nil {
-			return nil, nil, fe
-		}
-		end := cfg.Trace.Stage("compact")
-		var base *netlist.Netlist
-		if mapped != nil {
-			base = mapped.Netlist
-		} else {
-			base = prefix.mapArt.Netlist // restored mapped netlist
-		}
-		if !cfg.SkipCompaction {
-			cres, err := compact.Run(base, cfg.Arch)
-			if err != nil {
-				end()
-				return nil, nil, flowErr(d, cfg, "compact", err)
+		// Regularity-driven logic compaction (the span also covers the
+		// buffer-insertion tail of logic synthesis).
+		if err := r.stage("compact", true, func() (err error) {
+			if cfg.SkipCompaction {
+				// Uncompacted component netlists still need configuration
+				// types for packing: wrap each component cell as its
+				// identity config.
+				if impl, err = identityConfigs(mappedNet, cfg.Arch); err != nil {
+					return err
+				}
+			} else {
+				cres, err := compact.Run(mappedNet, cfg.Arch)
+				if err != nil {
+					return err
+				}
+				impl = cres.Netlist
+				rep.CompactionReduction = cres.Reduction()
+				rep.ConfigCounts = cres.ConfigCounts
+				rep.FullAdders = cres.FullAdders
 			}
-			impl = cres.Netlist
-			rep.CompactionReduction = cres.Reduction()
-			rep.ConfigCounts = cres.ConfigCounts
-			rep.FullAdders = cres.FullAdders
-		} else {
-			// Uncompacted component netlists still need configuration types
-			// for packing: wrap each component cell as its identity config.
-			impl, err = identityConfigs(base, cfg.Arch)
-			if err != nil {
-				end()
-				return nil, nil, flowErr(d, cfg, "compact", err)
-			}
+			// Physical synthesis: fanout-driven buffer insertion (Sec. 3.1's
+			// "buffer insertion ... to meet timing constraints").
+			rep.BuffersInserted = insertBuffers(impl)
+			return nil
+		}); err != nil {
+			return nil, nil, err
 		}
-		// Physical synthesis: fanout-driven buffer insertion (Sec. 3.1's
-		// "buffer insertion ... to meet timing constraints").
-		rep.BuffersInserted = insertBuffers(impl)
-		end()
-		save(StageCompact, func() any {
+		r.save(StageCompact, func() any {
 			return &compactArtifact{
 				Schema: stageArtifactSchema, Netlist: impl, GateCount: rep.GateCount,
 				Reduction: rep.CompactionReduction, ConfigCounts: rep.ConfigCounts,
@@ -654,19 +496,15 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 		// Verification always runs — it is a correctness check the
 		// request asked for, whether the netlist was computed or
 		// restored. The RTL netlist comes from the per-process cache.
-		if fe := stageFault(d, cfg, "verify"); fe != nil {
-			return nil, nil, fe
-		}
-		if rtlNet == nil {
-			if rtlNet, err = compileRTL(d); err != nil {
-				return nil, nil, flowErr(d, cfg, "rtl", err)
+		if err := r.stage("verify", true, func() (err error) {
+			if rtlNet == nil {
+				if rtlNet, err = compileRTL(d); err != nil {
+					return err
+				}
 			}
-		}
-		end := cfg.Trace.Stage("verify")
-		err := netlist.Equivalent(rtlNet, impl, 8, 4, cfg.Seed+77)
-		end()
-		if err != nil {
-			return nil, nil, flowErr(d, cfg, "verify", err)
+			return netlist.Equivalent(rtlNet, impl, 8, 4, cfg.Seed+77)
+		}); err != nil {
+			return nil, nil, err
 		}
 	}
 	if err := ctxFlowErr(ctx, d, cfg); err != nil {
@@ -684,53 +522,43 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 	if cfg.Defects != nil {
 		popts.Blocked = cfg.Defects.Stuck
 	}
-	placeHit := prefix.restored(StagePlace)
-	if !placeHit {
-		if fe := stageFault(d, cfg, "place"); fe != nil {
-			return nil, nil, fe
+	placeHit, packHit := r.prefix.restored(StagePlace), r.prefix.restored(StagePack)
+	var prob *place.Problem
+	if err := r.stage("place", !placeHit, func() (err error) {
+		if prob, err = place.Build(impl, place.ArchArea(cfg.Arch), popts); err != nil {
+			return err
 		}
-	}
-	end := cfg.Trace.Stage("place")
-	prob, err := place.Build(impl, place.ArchArea(cfg.Arch), popts)
-	if err != nil {
-		end()
-		return nil, nil, flowErr(d, cfg, "place", err)
-	}
-	packHit := cfg.Flow == FlowB && prefix.restored(StagePack)
-	if packHit {
-		// The pack artifact holds the legalized post-pack coordinates:
-		// annealing, net weighting, refinement and packing all collapse
-		// into one restore.
-		if prob.SetPositions(prefix.pack.Positions) != nil {
-			prefix.demote(StagePlace) // shape mismatch: recompute placement onward
-			packHit, placeHit = false, false
+		if placeHit {
+			// The deepest restored positions win. The pack artifact holds
+			// the legalized post-pack coordinates: annealing, net
+			// weighting, refinement and packing all collapse into one
+			// restore.
+			var pos []float64
+			if packHit {
+				pos = r.prefix.art(StagePack).(*packArtifact).Positions
+			} else {
+				pos = r.prefix.art(StagePlace).(*placeArtifact).Positions
+			}
+			if prob.SetPositions(pos) == nil {
+				return nil
+			}
+			r.prefix.demote(StagePlace) // shape mismatch: recompute placement onward
+			placeHit, packHit = false, false
 		}
-	} else if placeHit {
-		if prob.SetPositions(prefix.place.Positions) != nil {
-			prefix.demote(StagePlace)
-			placeHit = false
-		}
-	}
-	if !placeHit && !packHit {
-		err = prob.Anneal(place.Options{
+		return prob.Anneal(place.Options{
 			Seed: cfg.Seed, MovesPerObj: cfg.PlaceEffort, Ctx: ctx,
 			Trace: cfg.Trace.Anneal(),
 		})
+	}); err != nil {
+		return nil, nil, err
 	}
-	end()
-	if err != nil {
-		if fe := ctxFlowErr(ctx, d, cfg); fe != nil {
-			return nil, nil, fe
-		}
-		return nil, nil, flowErr(d, cfg, "place", err)
-	}
-	mark(StagePlace)
-	if !placeHit && !packHit {
+	r.link(StagePlace)
+	if !placeHit {
 		// Snapshot the post-anneal placement. Pre-refinement on
 		// purpose: the place key excludes the clock, and only net
 		// weighting + refinement read it, so they rerun in the suffix
 		// and every clock-target variant shares this snapshot.
-		save(StagePlace, func() any {
+		r.save(StagePlace, func() any {
 			return &placeArtifact{Schema: stageArtifactSchema, Objects: len(prob.Objs), Positions: prob.Positions()}
 		})
 	}
@@ -738,18 +566,13 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 	// Pre-layout timing feeds three consumers — the auto-derived clock,
 	// refinement's net weights, and packing's criticality — computed
 	// only when one of them needs it.
-	needRefine := !packHit
-	needPre := cfg.ClockPeriod == 0 || needRefine || (cfg.Flow == FlowB && !packHit)
 	var pre *sta.Report
-	if needPre {
-		if fe := stageFault(d, cfg, "sta"); fe != nil {
-			return nil, nil, fe
-		}
-		end = cfg.Trace.Stage("sta")
-		pre, err = sta.Analyze(impl, cfg.Arch, nil, nil, sta.Options{ClockPeriod: cfg.ClockPeriod})
-		end()
-		if err != nil {
-			return nil, nil, flowErr(d, cfg, "sta", err)
+	if cfg.ClockPeriod == 0 || !packHit {
+		if err := r.stage("sta", true, func() (err error) {
+			pre, err = sta.Analyze(impl, cfg.Arch, nil, nil, sta.Options{ClockPeriod: cfg.ClockPeriod})
+			return err
+		}); err != nil {
+			return nil, nil, err
 		}
 	}
 	clock := cfg.ClockPeriod
@@ -757,36 +580,33 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 		clock = 1.2 * pre.MaxArrival
 	}
 	rep.ClockPeriod = clock
-	if needRefine {
+	if !packHit {
 		// Net weights steer only refinement (nothing downstream reads
 		// them); a restored post-pack placement skips the whole block.
-		end = cfg.Trace.Stage("place")
-		for ni, w := range sta.NetWeights(impl, prob, pre, clock, 4) {
-			prob.SetNetWeight(ni, w)
-		}
-		prob.Refine(0.10, 3, cfg.Seed+3)
-		end()
+		// Refinement cannot fail, and its fault point is the anneal's.
+		_ = r.stage("place", false, func() error {
+			for ni, w := range sta.NetWeights(impl, prob, pre, clock, 4) {
+				prob.SetNetWeight(ni, w)
+			}
+			prob.Refine(0.10, 3, cfg.Seed+3)
+			return nil
+		})
 	}
 
 	// Flow b: pack into the regular PLB array.
 	if cfg.Flow == FlowB {
 		var pres *pack.Result
-		if packHit {
-			mark(StagePack)
-			pres = prefix.pack.Pack
+		if r.link(StagePack) {
+			pres = r.prefix.art(StagePack).(*packArtifact).Pack
 		} else {
-			mark(StagePack)
-			if fe := stageFault(d, cfg, "pack"); fe != nil {
-				return nil, nil, fe
+			if err := r.stage("pack", true, func() (err error) {
+				crit := sta.ObjCriticality(impl, prob, pre, clock)
+				pres, err = pack.Run(impl, cfg.Arch, prob, pack.Options{Seed: cfg.Seed, Criticality: crit})
+				return err
+			}); err != nil {
+				return nil, nil, err
 			}
-			end = cfg.Trace.Stage("pack")
-			crit := sta.ObjCriticality(impl, prob, pre, clock)
-			pres, err = pack.Run(impl, cfg.Arch, prob, pack.Options{Seed: cfg.Seed, Criticality: crit})
-			end()
-			if err != nil {
-				return nil, nil, flowErr(d, cfg, "pack", err)
-			}
-			save(StagePack, func() any {
+			r.save(StagePack, func() any {
 				return &packArtifact{
 					Schema: stageArtifactSchema, Pack: pres,
 					Objects: len(prob.Objs), Positions: prob.Positions(),
@@ -800,17 +620,16 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 		rep.Perturbation = pres.Perturbation
 		// Via personalization of the packed fabric (cheap and purely a
 		// function of netlist + arch, so it always recomputes).
-		if fe := stageFault(d, cfg, "viamap"); fe != nil {
-			return nil, nil, fe
-		}
-		end = cfg.Trace.Stage("viamap")
-		vrep, err := viamap.FabricVias(impl, cfg.Arch)
-		end()
-		if err == nil {
+		if err := r.stage("viamap", true, func() error {
+			vrep, err := viamap.FabricVias(impl, cfg.Arch)
+			if err != nil {
+				return err
+			}
 			rep.PopulatedVias = vrep.PopulatedVias
 			rep.ViaSitesPerPLB = vrep.PotentialPerPLB
-		} else {
-			return nil, nil, flowErr(d, cfg, "viamap", err)
+			return nil
+		}); err != nil {
+			return nil, nil, err
 		}
 	} else {
 		rep.DieArea = prob.W * prob.H
@@ -822,11 +641,9 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 	// ASIC-style global routing over the array / core. Dead tracks and
 	// via faults from the defect map constrain the search graph.
 	var routes *route.Result
-	if prefix.restored(StageRoute) {
-		mark(StageRoute)
-		routes = prefix.route.Routes
+	if r.link(StageRoute) {
+		routes = r.prefix.art(StageRoute).(*routeArtifact).Routes
 	} else {
-		mark(StageRoute)
 		ropts := route.Options{
 			Ctx: ctx, CapacityScale: cfg.RouteCapacityScale, CellsScale: cfg.RouteCellsScale,
 			Pool: cfg.routePool, Trace: cfg.Trace.Route(),
@@ -834,19 +651,13 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 		if cfg.Defects != nil {
 			ropts.Faults = cfg.Defects
 		}
-		if fe := stageFault(d, cfg, "route"); fe != nil {
-			return nil, nil, fe
+		if err := r.stage("route", true, func() (err error) {
+			routes, err = route.Route(prob, ropts)
+			return err
+		}); err != nil {
+			return nil, nil, err
 		}
-		end = cfg.Trace.Stage("route")
-		routes, err = route.Route(prob, ropts)
-		end()
-		if err != nil {
-			if fe := ctxFlowErr(ctx, d, cfg); fe != nil {
-				return nil, nil, fe
-			}
-			return nil, nil, flowErr(d, cfg, "route", err)
-		}
-		save(StageRoute, func() any {
+		r.save(StageRoute, func() any {
 			return &routeArtifact{Schema: stageArtifactSchema, Routes: routes}
 		})
 	}
@@ -857,31 +668,28 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 	rep.ChannelTracks = routes.Capacity()
 	rep.PeakTrackDemand = routes.MaxUtilization * float64(routes.Capacity())
 
-	// Post-layout static timing.
-	if fe := stageFault(d, cfg, "sta"); fe != nil {
-		return nil, nil, fe
+	// Post-layout static timing, then power at the run's clock.
+	if err := r.stage("sta", true, func() error {
+		post, err := sta.Analyze(impl, cfg.Arch, prob, routes, sta.Options{ClockPeriod: clock})
+		if err != nil {
+			return err
+		}
+		rep.AvgTopSlack = post.AvgTopSlack
+		rep.WorstSlack = post.WorstSlack
+		rep.MaxArrival = post.MaxArrival
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
-	end = cfg.Trace.Stage("sta")
-	post, err := sta.Analyze(impl, cfg.Arch, prob, routes, sta.Options{ClockPeriod: clock})
-	end()
-	if err != nil {
-		return nil, nil, flowErr(d, cfg, "sta", err)
-	}
-	rep.AvgTopSlack = post.AvgTopSlack
-	rep.WorstSlack = post.WorstSlack
-	rep.MaxArrival = post.MaxArrival
-
-	// Post-layout power at the run's clock.
-	if fe := stageFault(d, cfg, "power"); fe != nil {
-		return nil, nil, fe
-	}
-	end = cfg.Trace.Stage("power")
-	pw, err := power.Estimate(impl, cfg.Arch, prob, routes, power.Options{ClockPS: clock})
-	end()
-	if err == nil {
+	if err := r.stage("power", true, func() error {
+		pw, err := power.Estimate(impl, cfg.Arch, prob, routes, power.Options{ClockPS: clock})
+		if err != nil {
+			return err
+		}
 		rep.PowerUW = pw.TotalUW
-	} else {
-		return nil, nil, flowErr(d, cfg, "power", err)
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
 	if cfg.Trace != nil {
 		rep.Stages = cfg.Trace.StageTimings()
@@ -891,13 +699,33 @@ func RunFlow(ctx context.Context, d bench.Design, cfg Config) (*Report, *Artifac
 	return rep, art, nil
 }
 
-// key returns the chain key for a stage ("" when the prefix or stage
-// is absent — the cache put becomes a no-op).
-func (p *stagePrefix) key(stage string) string {
-	if i := p.index(stage); i >= 0 {
-		return p.chain[i].Key
+// frontEnd runs the synthesis front end — rtl, synth, map — and
+// returns the RTL netlist and the mapping. The AIG lives only here.
+func (r *flowRun) frontEnd() (*netlist.Netlist, *techmap.Result, error) {
+	var rtlNet *netlist.Netlist
+	var des *aig.Design
+	var mapped *techmap.Result
+	if err := r.stage("rtl", true, func() (err error) {
+		rtlNet, err = compileRTL(r.d)
+		return err
+	}); err != nil {
+		return nil, nil, err
 	}
-	return ""
+	if err := r.stage("synth", true, func() (err error) {
+		if des, err = aig.FromNetlist(rtlNet); err == nil {
+			des.Optimize(3)
+		}
+		return err
+	}); err != nil {
+		return nil, nil, err
+	}
+	if err := r.stage("map", true, func() (err error) {
+		mapped, err = techmap.Map(des, r.cfg.Arch, techmap.Options{AreaPasses: 1})
+		return err
+	}); err != nil {
+		return nil, nil, err
+	}
+	return rtlNet, mapped, nil
 }
 
 // compileRTL caches elaborated benchmark netlists: paper-scale designs

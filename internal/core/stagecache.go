@@ -31,7 +31,8 @@ import (
 // inputs or artifact payload change incompatibly.
 const stageKeyNS = "stage/v1"
 
-// Stage names, in pipeline order. FlowA omits StagePack.
+// Stage names of the cache's links; stageLinks orders them. FlowA
+// omits StagePack.
 const (
 	StageMap     = "map"
 	StageCompact = "compact"
@@ -57,17 +58,11 @@ type StageUse struct {
 }
 
 // stageKeyID is the key payload: the cumulative knob set upstream of a
-// stage, and nothing else. Field presence per stage:
-//
-//	map:     Design, RTLSHA, Arch
-//	compact: + SkipCompaction
-//	place:   + Seed, Effort, Defects        (no clock: the stored
-//	         snapshot is the post-anneal placement, which the clock
-//	         never reaches — net weighting + refinement rerun downstream)
-//	pack:    + Flow, Clock                  (flow b only)
-//	route:   + Flow, Clock, CapacityScale, CellsScale
-//
-// Flow is absent through the place stage — flows a and b share the
+// stage, and nothing else. Each link of stageLinks adds its knobs to
+// the payload before its own key is taken. The place link adds no
+// clock: its stored snapshot is the post-anneal placement, which the
+// clock never reaches (net weighting + refinement rerun downstream).
+// Flow is absent through the place link — flows a and b share the
 // whole pre-pack pipeline. Seed IS present from place on, so the
 // repair ladder's reseeding rungs key fresh placements, while its
 // channel-widening rungs differ only in the route link and reuse
@@ -100,6 +95,75 @@ func archSignature(a *cells.PLBArch) string {
 	return sb.String()
 }
 
+// stageLink is one link of the stage cache's key chain. stageLinks is
+// the one list of them: their order, the knobs each key adds, each
+// artifact's decoder, and what RunMatrix's in-memory tier keeps.
+type stageLink struct {
+	stage string
+	// flowB: only flow b's chain has the link.
+	flowB bool
+	// knobs adds the link's knobs to the cumulative key payload.
+	knobs func(id *stageKeyID, d bench.Design, cfg Config)
+	// decode turns stored bytes into the link's artifact, or nil (a
+	// miss) for corrupt bytes, a newer schema or a failed shape check.
+	decode func(raw []byte) any
+	// positions: the artifact carries the object positions.
+	positions bool
+	// mem: RunMatrix's in-memory tier keeps the link's artifacts.
+	mem bool
+}
+
+// stageLinks lists the links in pipeline order.
+var stageLinks = []stageLink{
+	{stage: StageMap,
+		knobs: func(id *stageKeyID, d bench.Design, cfg Config) {
+			rtl := sha256.Sum256([]byte(d.RTL))
+			id.Design = d.Name
+			id.RTLSHA = hex.EncodeToString(rtl[:])
+			id.Arch = archSignature(cfg.Arch)
+		},
+		decode: decodeAs(func(a *mapArtifact) bool { return a.Netlist != nil })},
+	{stage: StageCompact, mem: true,
+		knobs:  func(id *stageKeyID, _ bench.Design, cfg Config) { id.Skip = cfg.SkipCompaction },
+		decode: decodeAs(func(a *compactArtifact) bool { return a.Netlist != nil })},
+	{stage: StagePlace, positions: true, mem: true,
+		knobs: func(id *stageKeyID, _ bench.Design, cfg Config) {
+			id.Seed = cfg.Seed
+			id.Effort = cfg.PlaceEffort
+			if id.Effort == 0 {
+				id.Effort = 6
+			}
+			if cfg.Defects != nil {
+				id.Defects = cfg.Defects.String()
+			}
+		},
+		decode: decodeAs(func(a *placeArtifact) bool { return len(a.Positions) == 2*a.Objects })},
+	{stage: StagePack, flowB: true, positions: true,
+		knobs: func(id *stageKeyID, _ bench.Design, cfg Config) {
+			id.Flow = cfg.Flow.String()
+			id.Clock = cfg.ClockPeriod
+		},
+		decode: decodeAs(func(a *packArtifact) bool { return a.Pack != nil && len(a.Positions) == 2*a.Objects })},
+	{stage: StageRoute,
+		knobs: func(id *stageKeyID, _ bench.Design, cfg Config) {
+			id.Flow = cfg.Flow.String()
+			id.Clock = cfg.ClockPeriod
+			id.CapacityScale = cfg.RouteCapacityScale
+			id.CellsScale = cfg.RouteCellsScale
+		},
+		decode: decodeAs(func(a *routeArtifact) bool { return a.Routes != nil })},
+}
+
+// linkOf returns the named stage's link.
+func linkOf(stage string) *stageLink {
+	for i := range stageLinks {
+		if stageLinks[i].stage == stage {
+			return &stageLinks[i]
+		}
+	}
+	return nil
+}
+
 // stageChain derives the ordered per-stage key chain for a resolved
 // (design, config) pair. It hashes the resolved Config rather than the
 // originating request because the repair ladder mutates the config
@@ -109,55 +173,102 @@ func stageChain(d bench.Design, cfg Config) ([]StageKey, error) {
 	if cfg.Arch == nil {
 		return nil, fmt.Errorf("core: stage keys need a resolved architecture")
 	}
-	effort := cfg.PlaceEffort
-	if effort == 0 {
-		effort = 6
-	}
-	rtl := sha256.Sum256([]byte(d.RTL))
-	id := stageKeyID{
-		Design: d.Name,
-		RTLSHA: hex.EncodeToString(rtl[:]),
-		Arch:   archSignature(cfg.Arch),
-	}
-	push := func(chain []StageKey, stage string) ([]StageKey, error) {
-		id.Stage = stage
+	var id stageKeyID
+	chain := make([]StageKey, 0, len(stageLinks))
+	for _, l := range stageLinks {
+		if l.flowB && cfg.Flow != FlowB {
+			continue
+		}
+		l.knobs(&id, d, cfg)
+		id.Stage = l.stage
 		key, err := CanonicalKey(stageKeyNS, id)
 		if err != nil {
 			return nil, err
 		}
-		return append(chain, StageKey{Stage: stage, Key: key}), nil
-	}
-
-	chain := make([]StageKey, 0, 5)
-	var err error
-	if chain, err = push(chain, StageMap); err != nil {
-		return nil, err
-	}
-	id.Skip = cfg.SkipCompaction
-	if chain, err = push(chain, StageCompact); err != nil {
-		return nil, err
-	}
-	id.Seed = cfg.Seed
-	id.Effort = effort
-	if cfg.Defects != nil {
-		id.Defects = cfg.Defects.String()
-	}
-	if chain, err = push(chain, StagePlace); err != nil {
-		return nil, err
-	}
-	id.Flow = cfg.Flow.String()
-	id.Clock = cfg.ClockPeriod
-	if cfg.Flow == FlowB {
-		if chain, err = push(chain, StagePack); err != nil {
-			return nil, err
-		}
-	}
-	id.CapacityScale = cfg.RouteCapacityScale
-	id.CellsScale = cfg.RouteCellsScale
-	if chain, err = push(chain, StageRoute); err != nil {
-		return nil, err
+		chain = append(chain, StageKey{Stage: l.stage, Key: key})
 	}
 	return chain, nil
+}
+
+// stagePrefix is the resolved cached prefix of one run: the stage-key
+// chain, the index of the deepest link the cache can satisfy, and the
+// decoded artifacts the restore reads.
+type stagePrefix struct {
+	chain []StageKey
+	depth int   // chain index of the deepest cache-satisfied link; -1 = none
+	arts  []any // decoded artifacts by chain index; nil = a miss or not probed
+}
+
+// resolvePrefix probes the stage cache for the deepest restorable
+// prefix of the chain. A link is restorable when its artifact decodes
+// along with every artifact its restore reads: past compaction, the
+// compacted netlist; and a link whose artifact carries no positions
+// (route) also reads the positions of the link before it. Each
+// artifact is fetched at most once, deepest first. Decode failures
+// are silent misses — the store already evicted anything corrupt.
+func resolvePrefix(stages *StageCache, chain []StageKey) *stagePrefix {
+	p := &stagePrefix{chain: chain, depth: -1, arts: make([]any, len(chain))}
+	tried := make([]bool, len(chain))
+	ok := func(i int) bool {
+		if !tried[i] {
+			tried[i] = true
+			if raw, hit := stages.get(chain[i].Key); hit {
+				p.arts[i] = linkOf(chain[i].Stage).decode(raw)
+			}
+		}
+		return p.arts[i] != nil
+	}
+	compact := p.index(StageCompact)
+	for i := len(chain) - 1; i >= 0; i-- {
+		if ok(i) && (i <= compact || ok(compact) && (linkOf(chain[i].Stage).positions || ok(i-1))) {
+			p.depth = i
+			break
+		}
+	}
+	return p
+}
+
+// index locates a stage in the chain (-1 when absent, e.g. pack in
+// flow a).
+func (p *stagePrefix) index(stage string) int {
+	if p == nil {
+		return -1
+	}
+	for i, sk := range p.chain {
+		if sk.Stage == stage {
+			return i
+		}
+	}
+	return -1
+}
+
+// restored reports whether the cache satisfies the stage: its chain
+// index is within the restored prefix.
+func (p *stagePrefix) restored(stage string) bool {
+	i := p.index(stage)
+	return i >= 0 && i <= p.depth
+}
+
+// art returns a restored stage's decoded artifact.
+func (p *stagePrefix) art(stage string) any {
+	return p.arts[p.index(stage)]
+}
+
+// demote caps the restored depth at the named stage's predecessor —
+// the fallback when a restore step fails shape validation mid-run.
+func (p *stagePrefix) demote(stage string) {
+	if i := p.index(stage); i >= 0 && p.depth >= i {
+		p.depth = i - 1
+	}
+}
+
+// key returns the chain key for a stage ("" when the prefix or stage
+// is absent — the cache put becomes a no-op).
+func (p *stagePrefix) key(stage string) string {
+	if i := p.index(stage); i >= 0 {
+		return p.chain[i].Key
+	}
+	return ""
 }
 
 // StageKeys resolves the request and returns its ordered per-stage key
@@ -224,8 +335,8 @@ func NewStageCache(store *artifact.Store) *StageCache {
 }
 
 // newMemStageCache returns an empty in-memory stage cache. It keeps only
-// the compact and place artifacts: their keys carry no flow and no
-// clock, so both flows of one (design, arch) share them, while pack
+// the links stageLinks marks mem, compact and place: their keys carry
+// no flow and no clock, so both flows of one (design, arch) share them, while pack
 // and route keys are unique to one matrix cell and would only hold
 // memory. Each artifact has one reader — the pair's flow b — so a
 // lookup hands the artifact over and drops it from the map. A repair
@@ -238,7 +349,7 @@ func newMemStageCache() *StageCache {
 // keeps reports whether the cache stores the stage's artifacts, so a
 // run skips encoding the ones it would drop.
 func (c *StageCache) keeps(stage string) bool {
-	return c != nil && (c.store != nil || stage == StageCompact || stage == StagePlace)
+	return c != nil && (c.store != nil || linkOf(stage).mem)
 }
 
 // Store exposes the underlying artifact store.

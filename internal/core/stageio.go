@@ -11,7 +11,7 @@ import (
 // Stage artifact payloads. Each artifact is cumulative: it carries its
 // stage's output plus every report field the stages above it produced,
 // so restoring at depth N needs no artifact shallower than N's own
-// restore dependencies (the compacted netlist for placement onward).
+// restore dependencies (see resolvePrefix).
 // All payloads are schema-versioned JSON; any decode failure — corrupt
 // bytes, newer schema, shape mismatch — is a cache miss, never an
 // error: the pipeline recomputes and overwrites.
@@ -90,4 +90,16 @@ func decodeStage(raw []byte, out any) bool {
 		return false
 	}
 	return json.Unmarshal(raw, out) == nil
+}
+
+// decodeAs returns a link's decoder: raw bytes that decode into a *T
+// passing the link's shape check fits, and nil for anything else.
+func decodeAs[T any](fits func(*T) bool) func([]byte) any {
+	return func(raw []byte) any {
+		a := new(T)
+		if !decodeStage(raw, a) || !fits(a) {
+			return nil
+		}
+		return a
+	}
 }

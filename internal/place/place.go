@@ -544,15 +544,6 @@ func (p *Problem) LongNets(frac float64) []int {
 	return out
 }
 
-// TotalObjArea sums movable object area.
-func (p *Problem) TotalObjArea() float64 {
-	total := 0.0
-	for i := range p.Objs {
-		total += p.Objs[i].Area
-	}
-	return total
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

@@ -148,6 +148,46 @@ func TestRingDeterministicOwnership(t *testing.T) {
 	}
 }
 
+// TestRingSpreadsLoopbackMembers: members whose names differ only in
+// the port still spread their vnodes around the ring, and neither
+// member of a two-member ring owns most of the key space.
+func TestRingSpreadsLoopbackMembers(t *testing.T) {
+	pairs := [][]string{
+		{"http://127.0.0.1:41001", "http://127.0.0.1:34567"},
+		{"http://127.0.0.1:8081", "http://127.0.0.1:8082"},
+		{"http://127.0.0.1:39999", "http://127.0.0.1:40000"},
+		{"http://node-a:8080", "http://node-b:8080"},
+	}
+	for _, members := range pairs {
+		r := newRing(members)
+		lo, hi := map[string]uint64{}, map[string]uint64{}
+		for _, p := range r.points {
+			if l, ok := lo[p.node]; !ok || p.hash < l {
+				lo[p.node] = p.hash
+			}
+			if p.hash > hi[p.node] {
+				hi[p.node] = p.hash
+			}
+		}
+		for _, m := range members {
+			if span := hi[m] - lo[m]; span < 1<<63 {
+				t.Errorf("%v: the vnodes of %s span %.1f%% of the ring, want at least half",
+					members, m, 100*float64(span)/(1<<64))
+			}
+		}
+		owned := map[string]int{}
+		const keys = 10000
+		for i := 0; i < keys; i++ {
+			owned[r.owner(fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("key-%d", i)))))]++
+		}
+		for _, m := range members {
+			if owned[m] > keys*70/100 {
+				t.Errorf("%v: %s owns %d of %d keys, want at most 70%%", members, m, owned[m], keys)
+			}
+		}
+	}
+}
+
 // TestSchedulerPriorityFairnessAndStealing pins the queue discipline:
 // priority first, then least-recently-served tenant, then FIFO — and
 // an idle node's runner steals from another node's queue.
@@ -323,19 +363,9 @@ func TestPeerFetchFaultInjectionDegrades(t *testing.T) {
 		t.Fatalf("warm-up run: %q (%s)", jr.Status, jr.Error)
 	}
 	key := runKey(t)
-	// Pick a self URL under which the live node owns the key, so the
-	// lookup actually crosses the transport.
-	self := ""
-	for i := 0; i < 256 && self == ""; i++ {
-		cand := fmt.Sprintf("http://self-%d.invalid", i)
-		if newRing([]string{cand, src.URL}).owner(key) == src.URL {
-			self = cand
-		}
-	}
-	if self == "" {
-		t.Fatal("no self URL makes the peer own the key")
-	}
-	lookup := NewPeerLookup(self, []string{self, src.URL})
+	// The live node is the ring's only member, so it owns every key and
+	// the lookup always crosses the transport.
+	lookup := NewPeerLookup("http://self.invalid", []string{src.URL})
 	if _, ok := lookup(context.Background(), "run", key); !ok {
 		t.Fatal("peer lookup missed with a healthy transport")
 	}

@@ -1,7 +1,8 @@
 package server
 
 import (
-	"hash/fnv"
+	"crypto/sha256"
+	"encoding/binary"
 	"sort"
 	"strconv"
 	"sync"
@@ -104,10 +105,12 @@ func (r *ring) liveMembers() []string {
 	return out
 }
 
-// ringHash is FNV-1a 64: stdlib, stable across processes and builds —
-// the ring must hash identically on every node.
+// ringHash is the first 8 bytes of SHA-256: stdlib, stable across
+// processes and builds — the ring must hash identically on every
+// node — and it spreads a member's vnodes around the ring even when
+// member names differ only in their last bytes, as loopback URLs do in
+// the port (FNV-1a crowds them into one narrow arc).
 func ringHash(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	sum := sha256.Sum256([]byte(s))
+	return binary.BigEndian.Uint64(sum[:8])
 }
