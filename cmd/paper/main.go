@@ -36,7 +36,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"time"
 
 	"vpga/internal/bench"
@@ -135,9 +134,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	suite := bench.TestSuite()
-	if *scale == "paper" {
-		suite = bench.PaperSuite()
+	suite, err := core.MatrixSuite(*scale)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	if *fig2 {
@@ -163,7 +162,6 @@ func main() {
 	needMatrix := *claims || *table != 0
 	if needMatrix {
 		start := time.Now()
-		var err error
 		matrix, err = core.RunMatrix(ctx, suite, core.MatrixOptions{
 			Seed: *seed, PlaceEffort: *effort, Parallel: *parallel,
 			ContinueOnError: *keepGoing, Trace: tracer,
@@ -220,9 +218,9 @@ func main() {
 	}
 
 	if *domains {
-		fir := bench.FIR(8, 8)
-		if *scale == "paper" {
-			fir = bench.FIR(32, 16)
+		fir, err := core.ResolveDesign("fir", *scale, "", "")
+		if err != nil {
+			fatalf("%v", err)
 		}
 		results, err := core.RunDomainExplore(ctx,
 			[]bench.Design{suite.ALU, suite.Firewire, fir},
@@ -272,23 +270,12 @@ func main() {
 }
 
 // appendMatrixLedger appends one QoR record per populated matrix cell
-// to the run ledger. Matrix cells are clock-pinned across flows, not
-// request-shaped, so the records carry no cache key.
+// to the run ledger.
 func appendMatrixLedger(path string, m *core.Matrix, seed int64) {
 	if path == "" || m == nil {
 		return
 	}
-	var recs []qor.Record
-	for _, archs := range m.Reports {
-		for _, flows := range archs {
-			for _, rep := range flows {
-				if rep != nil {
-					recs = append(recs, qor.FromReport(rep, seed, ""))
-				}
-			}
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID() < recs[j].ID() })
+	recs := qor.MatrixRecords(m.Reports, seed)
 	now := time.Now()
 	rev := qor.GitRev(".")
 	for i := range recs {

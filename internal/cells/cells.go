@@ -70,11 +70,6 @@ func normalize3(fn logic.TT) logic.TT {
 	return fn.Extend(3)
 }
 
-// LoadedDelay returns the cell delay driving the given load.
-func (c *Cell) LoadedDelay(loadFF float64) float64 {
-	return c.Intrinsic + c.Drive*loadFF
-}
-
 // Library is a named set of cells.
 type Library struct {
 	cells map[string]*Cell

@@ -83,13 +83,6 @@ func TestLUT3ImplementsEverything(t *testing.T) {
 	}
 }
 
-func TestLoadedDelay(t *testing.T) {
-	c := &Cell{Intrinsic: 40, Drive: 2.5}
-	if got := c.LoadedDelay(10); got != 65 {
-		t.Errorf("LoadedDelay(10) = %v, want 65", got)
-	}
-}
-
 func TestConfigCoverage(t *testing.T) {
 	arch := GranularPLB()
 	counts := map[string]int{}

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"time"
 
 	"vpga/internal/bench"
 	"vpga/internal/cells"
@@ -33,7 +32,6 @@ type Matrix struct {
 type MatrixOptions struct {
 	Seed        int64
 	PlaceEffort int
-	Verify      bool
 	// Stages, when set, is the stage-granular build cache every cell
 	// runs against (see Config.Stages): cells sharing a key-chain
 	// prefix — every clock-pinned variant of one (design, arch), both
@@ -55,9 +53,6 @@ type MatrixOptions struct {
 	// deterministic; a cell's line may therefore buffer briefly while
 	// an earlier cell is still running.
 	Progress func(string)
-	// PerRunTimeout bounds the wall time of each flow run; an expired
-	// run fails with Stage "timeout" (0 = no per-run bound).
-	PerRunTimeout time.Duration
 	// ContinueOnError keeps the matrix going past failing cells: the
 	// failures land in Matrix.Errors (the dependents of a failed
 	// clock-pinning run as Stage "skipped") and the matrix comes back
@@ -82,17 +77,11 @@ type MatrixOptions struct {
 // supervised run and may panic to exercise worker panic isolation.
 var testPanicHook func(design, arch string, flow FlowKind)
 
-// supervisedRun executes one flow run under the supervisor: a per-run
-// timeout, panic isolation (a crashed worker becomes a *FlowError with
-// Stage "panic" instead of taking down the process), and the repair
-// ladder when a defect map is present. The repair ladder reports
-// without artifacts.
-func supervisedRun(ctx context.Context, d bench.Design, cfg Config, timeout time.Duration) (rep *Report, art *Artifacts, err error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+// supervisedRun executes one flow run under the supervisor: panic
+// isolation (a crashed worker becomes a *FlowError with Stage "panic"
+// instead of taking down the process), and the repair ladder when a
+// defect map is present. The repair ladder reports without artifacts.
+func supervisedRun(ctx context.Context, d bench.Design, cfg Config) (rep *Report, art *Artifacts, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rep, art = nil, nil
@@ -164,13 +153,13 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 			d, arch := designs[c.Design], archs[c.Arch]
 			cfg := Config{
 				Arch: arch, Flow: c.Flow, ClockPeriod: c.Clock,
-				Seed: opts.Seed, PlaceEffort: opts.PlaceEffort, Verify: opts.Verify,
+				Seed: opts.Seed, PlaceEffort: opts.PlaceEffort,
 				Defects: opts.Defects, RepairBudget: opts.RepairBudget,
 				Stages: stages, routePool: pool,
 				Trace: opts.Trace.NewRun(d.Name + "/" + arch.Name + "/" + c.Flow.String()),
 			}
 			defer cfg.Trace.Close()
-			rep, _, err := supervisedRun(ctx, d, cfg, opts.PerRunTimeout)
+			rep, _, err := supervisedRun(ctx, d, cfg)
 			return rep, err
 		})
 	}
@@ -193,23 +182,6 @@ func (m *Matrix) StripMetrics() {
 			}
 		}
 	}
-}
-
-// StageTotals aggregates the per-stage timings of every populated cell
-// across the matrix's workers (empty unless the matrix ran with
-// MatrixOptions.Trace set).
-func (m *Matrix) StageTotals() []obs.StageTiming {
-	var lists [][]obs.StageTiming
-	for _, byArch := range m.Reports {
-		for _, byFlow := range byArch {
-			for _, rep := range byFlow {
-				if rep != nil && len(rep.Stages) > 0 {
-					lists = append(lists, rep.Stages)
-				}
-			}
-		}
-	}
-	return obs.Aggregate(lists...)
 }
 
 // Table1 renders the die-area comparison in the layout of the paper's
@@ -364,13 +336,6 @@ func (c Claims) String() string {
 	fmt.Fprintf(&sb, "  perf-degradation reduction (avg):  %6.1f%%   (paper ~68%%)\n", 100*c.AvgPerfDegradationReduction)
 	fmt.Fprintf(&sb, "  Firewire die-area ratio gran/LUT:  %6.2f    (paper > 1: granular loses)\n", c.FirewireAreaRatio)
 	return sb.String()
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Fig2Text renders the Figure 2 / Section 2.1 function analysis.

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -793,14 +792,4 @@ func (r *Report) summary() string {
 		fmt.Fprintf(&sb, " array=%dx%d util=%.0f%%", r.Rows, r.Cols, 100*r.Utilization)
 	}
 	return sb.String()
-}
-
-// sortedKeys is shared by the table printers.
-func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -222,41 +222,45 @@ func (r FlowRequest) Normalize() FlowRequest {
 
 // Validate checks the request without running it.
 func (r FlowRequest) Validate() error {
-	if _, err := ResolveDesign(r.Design, r.Scale, r.RTL, r.Name); err != nil {
-		return err
+	_, _, err := r.resolve()
+	return err
+}
+
+// resolve checks the raw request — design, arch, flow, effort, defect
+// rate, in that order — and returns the resolved design and arch,
+// which the normalized request resolves to as well. It reads the raw
+// request because Normalize zeroes a negative defect_rate.
+func (r FlowRequest) resolve() (bench.Design, *cells.PLBArch, error) {
+	d, err := ResolveDesign(r.Design, r.Scale, r.RTL, r.Name)
+	if err != nil {
+		return bench.Design{}, nil, err
 	}
-	if _, err := r.Arch.Resolve(); err != nil {
-		return err
+	arch, err := r.Arch.Resolve()
+	if err != nil {
+		return bench.Design{}, nil, err
 	}
 	switch r.Flow {
 	case "", "a", "b":
 	default:
-		return fmt.Errorf("core: unknown flow %q (want a or b)", r.Flow)
+		return bench.Design{}, nil, fmt.Errorf("core: unknown flow %q (want a or b)", r.Flow)
 	}
 	if r.PlaceEffort < 0 {
-		return fmt.Errorf("core: negative place_effort %d", r.PlaceEffort)
+		return bench.Design{}, nil, fmt.Errorf("core: negative place_effort %d", r.PlaceEffort)
 	}
 	if r.DefectRate < 0 || r.DefectRate >= 1 {
-		return fmt.Errorf("core: defect_rate %g outside [0,1)", r.DefectRate)
+		return bench.Design{}, nil, fmt.Errorf("core: defect_rate %g outside [0,1)", r.DefectRate)
 	}
-	return nil
+	return d, arch, nil
 }
 
 // Resolve validates the request and builds the concrete flow inputs:
 // the design and the Config (defect map included, Trace unset).
 func (r FlowRequest) Resolve() (bench.Design, Config, error) {
-	if err := r.Validate(); err != nil {
+	d, arch, err := r.resolve()
+	if err != nil {
 		return bench.Design{}, Config{}, err
 	}
 	n := r.Normalize()
-	d, err := ResolveDesign(n.Design, n.Scale, n.RTL, n.Name)
-	if err != nil {
-		return bench.Design{}, Config{}, err
-	}
-	arch, err := n.Arch.Resolve()
-	if err != nil {
-		return bench.Design{}, Config{}, err
-	}
 	cfg := Config{
 		Arch: arch, ClockPeriod: n.ClockPeriod, Seed: n.Seed,
 		PlaceEffort: n.PlaceEffort, SkipCompaction: n.SkipCompaction,
@@ -347,7 +351,7 @@ func Run(ctx context.Context, req FlowRequest, opts ExecOptions) (*RunResult, er
 	if err != nil {
 		return nil, err
 	}
-	rep, art, err := supervisedRun(ctx, d, cfg, 0)
+	rep, art, err := supervisedRun(ctx, d, cfg)
 	if err != nil {
 		return nil, err
 	}

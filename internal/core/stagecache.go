@@ -352,14 +352,6 @@ func (c *StageCache) keeps(stage string) bool {
 	return c != nil && (c.store != nil || linkOf(stage).mem)
 }
 
-// Store exposes the underlying artifact store.
-func (c *StageCache) Store() *artifact.Store {
-	if c == nil {
-		return nil
-	}
-	return c.store
-}
-
 // Stats snapshots the per-stage counters.
 func (c *StageCache) Stats() StageCacheStats {
 	if c == nil {

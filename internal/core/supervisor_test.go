@@ -177,12 +177,13 @@ func TestRunMatrixContinueOnError(t *testing.T) {
 	}
 }
 
-// TestRunMatrixPerRunTimeout: an unmeetable per-run deadline must fail
-// every attempted cell with Stage "timeout" without hanging the pool.
-func TestRunMatrixPerRunTimeout(t *testing.T) {
-	m, err := RunMatrix(context.Background(), smallSuite(), MatrixOptions{
+// TestRunMatrixTimeout: an already-expired deadline must fail every
+// attempted cell with Stage "timeout" without hanging the pool.
+func TestRunMatrixTimeout(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	m, err := RunMatrix(ctx, smallSuite(), MatrixOptions{
 		Seed: 1, PlaceEffort: 1, Parallel: 4, ContinueOnError: true,
-		PerRunTimeout: time.Nanosecond,
 	})
 	if err != nil {
 		t.Fatalf("ContinueOnError matrix returned error: %v", err)

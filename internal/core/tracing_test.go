@@ -45,8 +45,14 @@ func TestTracingDeterminism(t *testing.T) {
 	if rep := base.Get("ALU", "granular-plb", FlowB); rep.Stages != nil || rep.Solver != nil {
 		t.Fatalf("untraced report has a metrics block: %+v", rep)
 	}
-	if totals := tracedN.StageTotals(); len(totals) == 0 {
-		t.Fatal("traced matrix has no aggregated stage totals")
+	for _, byArch := range tracedN.Reports {
+		for _, byFlow := range byArch {
+			for label, rep := range byFlow {
+				if len(rep.Stages) == 0 {
+					t.Fatalf("traced %s report %s has no stage timings", rep.Design, label)
+				}
+			}
+		}
 	}
 
 	base.StripMetrics()

@@ -27,13 +27,12 @@ type YieldPoint struct {
 
 // YieldOptions configures a defect-yield sweep.
 type YieldOptions struct {
-	Rate         float64 // defect rate per fabric tile
-	Maps         int     // number of defect maps (seeds BaseSeed..BaseSeed+Maps-1)
-	BaseSeed     int64   // first defect-map seed
-	FlowSeed     int64   // flow seed shared by all maps
-	RepairBudget int     // 0 = DefaultRepairBudget
-	Parallel     int     // 0 = GOMAXPROCS
-	Progress     func(string)
+	Rate     float64 // defect rate per fabric tile
+	Maps     int     // number of defect maps (seeds BaseSeed..BaseSeed+Maps-1)
+	BaseSeed int64   // first defect-map seed
+	FlowSeed int64   // flow seed shared by all maps
+	Parallel int     // 0 = GOMAXPROCS
+	Progress func(string)
 	// Trace records every map's flow run (stage spans, solver counters,
 	// repair attempts); nil disables tracing.
 	Trace *obs.Tracer
@@ -60,16 +59,12 @@ func DefectYield(ctx context.Context, d bench.Design, arch *cells.PLBArch, opts 
 	if opts.Maps <= 0 {
 		opts.Maps = 50
 	}
-	budget := opts.RepairBudget
-	if budget == 0 {
-		budget = DefaultRepairBudget
-	}
 	par := opts.Parallel
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
 	res := &YieldResult{Design: d.Name, Arch: arch.Name, Rate: opts.Rate,
-		Points: make([]YieldPoint, opts.Maps), Budget: budget}
+		Points: make([]YieldPoint, opts.Maps), Budget: DefaultRepairBudget}
 	// Every map's runs (repair escalations included) share one
 	// router-state pool; reuse never changes which maps route.
 	pool := route.NewPool()
@@ -93,9 +88,8 @@ func DefectYield(ctx context.Context, d bench.Design, arch *cells.PLBArch, opts 
 				run := opts.Trace.NewRun(fmt.Sprintf("%s/%s/map%d", d.Name, arch.Name, i))
 				rep, _, err := supervisedRun(ctx, d, Config{
 					Arch: arch, Flow: FlowB, Seed: opts.FlowSeed,
-					Defects: dm, RepairBudget: budget, Trace: run,
-					routePool: pool,
-				}, 0)
+					Defects: dm, Trace: run, routePool: pool,
+				})
 				run.Close()
 				if err != nil {
 					pt.Err = err.Error()

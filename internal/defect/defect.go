@@ -18,7 +18,6 @@ package defect
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 )
 
 // Map is a seeded defect map over a W×H grid of fabric tiles. Queries
@@ -163,32 +162,4 @@ func (m *Map) String() string {
 	c := m.Counts()
 	return fmt.Sprintf("defect map seed=%d rate=%.3g grid=%dx%d: %d stuck, %d dead-H, %d dead-V, %d via faults",
 		m.Seed, m.Rate, m.W, m.H, c.Stuck, c.DeadH, c.DeadV, c.Via)
-}
-
-// Sketch renders the map as a tile-per-character picture (S = stuck
-// site, - / | = dead tracks, x = both directions dead, v = via fault,
-// . = clean), for debugging defect experiments.
-func (m *Map) Sketch() string {
-	var sb strings.Builder
-	for y := m.H - 1; y >= 0; y-- {
-		for x := 0; x < m.W; x++ {
-			i := y*m.W + x
-			switch {
-			case m.stuck[i]:
-				sb.WriteByte('S')
-			case m.deadH[i] && m.deadV[i]:
-				sb.WriteByte('x')
-			case m.deadH[i]:
-				sb.WriteByte('-')
-			case m.deadV[i]:
-				sb.WriteByte('|')
-			case m.via[i]:
-				sb.WriteByte('v')
-			default:
-				sb.WriteByte('.')
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -72,17 +72,3 @@ func TestNilMapIsClean(t *testing.T) {
 		t.Fatal("nil map String empty")
 	}
 }
-
-func TestSketchShape(t *testing.T) {
-	m := NewGrid(5, 0.3, 8, 4)
-	s := m.Sketch()
-	lines := 0
-	for _, ch := range s {
-		if ch == '\n' {
-			lines++
-		}
-	}
-	if lines != 4 {
-		t.Fatalf("sketch has %d rows, want 4:\n%s", lines, s)
-	}
-}

@@ -152,24 +152,6 @@ func (n *Netlist) SetFanin(id NodeID, i int, src NodeID) {
 	n.fanoutsValid = false
 }
 
-// ReplaceUses rewires every fanin referring to old so it refers to new.
-// It returns the number of rewired slots.
-func (n *Netlist) ReplaceUses(old, new NodeID) int {
-	count := 0
-	for _, node := range n.nodes {
-		for i, f := range node.Fanins {
-			if f == old {
-				node.Fanins[i] = new
-				count++
-			}
-		}
-	}
-	if count > 0 {
-		n.fanoutsValid = false
-	}
-	return count
-}
-
 // Fanouts returns the IDs of nodes reading id. The returned slice is
 // shared; callers must not mutate it.
 func (n *Netlist) Fanouts(id NodeID) []NodeID {

@@ -1,7 +1,6 @@
 package netlist
 
 import (
-	"strings"
 	"testing"
 
 	"vpga/internal/logic"
@@ -201,34 +200,6 @@ func TestCompactPreservesBehaviour(t *testing.T) {
 	}
 }
 
-func TestReplaceUses(t *testing.T) {
-	n := New("ru")
-	a, b := n.AddInput("a"), n.AddInput("b")
-	g := n.AddGate("AND2", logic.TTAnd2, a, a)
-	n.AddOutput("y", g)
-	if count := n.ReplaceUses(a, b); count != 2 {
-		t.Fatalf("ReplaceUses rewired %d slots, want 2", count)
-	}
-	if n.Node(g).Fanins[0] != b || n.Node(g).Fanins[1] != b {
-		t.Fatal("fanins not rewired")
-	}
-}
-
-func TestTransitiveFanin(t *testing.T) {
-	n := buildXorFF()
-	// Cone of the XOR gate: itself, input a, and the DFF (stop point).
-	var xor NodeID
-	for _, node := range n.Nodes() {
-		if node.Kind == KindGate {
-			xor = node.ID
-		}
-	}
-	cone := n.TransitiveFanin(xor)
-	if len(cone) != 3 {
-		t.Fatalf("cone size = %d, want 3 (gate, PI, DFF)", len(cone))
-	}
-}
-
 func TestFanouts(t *testing.T) {
 	n := New("fo")
 	a := n.AddInput("a")
@@ -238,20 +209,6 @@ func TestFanouts(t *testing.T) {
 	n.AddOutput("y", g2)
 	if got := n.FanoutCount(a); got != 2 {
 		t.Fatalf("fanout(a) = %d, want 2", got)
-	}
-}
-
-func TestDumpAndDOT(t *testing.T) {
-	n := buildXorFF()
-	d := n.Dump()
-	for _, want := range []string{"input", "dff", "XOR2"} {
-		if !strings.Contains(d, want) {
-			t.Errorf("Dump missing %q:\n%s", want, d)
-		}
-	}
-	dot := n.WriteDOT()
-	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "->") {
-		t.Errorf("DOT output malformed:\n%s", dot)
 	}
 }
 
@@ -323,10 +280,6 @@ func TestFanoutsConsistentAfterMutation(t *testing.T) {
 	n.SetFanin(g, 1, b)
 	if n.FanoutCount(a) != 1 || n.FanoutCount(b) != 1 {
 		t.Fatal("fanout cache stale after SetFanin")
-	}
-	n.ReplaceUses(b, a)
-	if n.FanoutCount(a) != 2 || n.FanoutCount(b) != 0 {
-		t.Fatal("fanout cache stale after ReplaceUses")
 	}
 }
 

@@ -1,10 +1,6 @@
 package netlist
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Sweep removes nodes that no primary output or flip-flop transitively
 // reads. It returns the number of removed nodes. Node IDs of surviving
@@ -96,29 +92,6 @@ func (n *Netlist) Compact() []NodeID {
 	return remap
 }
 
-// TransitiveFanin returns the set of node IDs in the combinational
-// transitive fanin of root, stopping at (and including) primary inputs,
-// constants and flip-flop outputs.
-func (n *Netlist) TransitiveFanin(root NodeID) map[NodeID]bool {
-	seen := map[NodeID]bool{root: true}
-	stack := []NodeID{root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		node := n.nodes[id]
-		if node.Kind == KindInput || node.Kind == KindConst || (node.Kind == KindDFF && id != root) {
-			continue
-		}
-		for _, f := range node.Fanins {
-			if !seen[f] {
-				seen[f] = true
-				stack = append(stack, f)
-			}
-		}
-	}
-	return seen
-}
-
 // Clone deep-copies the netlist.
 func (n *Netlist) Clone() *Netlist {
 	c := &Netlist{Name: n.Name}
@@ -131,66 +104,6 @@ func (n *Netlist) Clone() *Netlist {
 	c.pis = append([]NodeID(nil), n.pis...)
 	c.pos = append([]NodeID(nil), n.pos...)
 	return c
-}
-
-// Dump renders the whole netlist as text, one node per line, for
-// debugging and golden tests.
-func (n *Netlist) Dump() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "# netlist %s\n", n.Name)
-	for _, node := range n.nodes {
-		fmt.Fprintf(&sb, "%4d %-6s", node.ID, node.Kind)
-		if node.Type != "" {
-			fmt.Fprintf(&sb, " %-8s", node.Type)
-		}
-		if node.Name != "" {
-			fmt.Fprintf(&sb, " %q", node.Name)
-		}
-		if node.Kind == KindGate {
-			fmt.Fprintf(&sb, " %s", node.Func)
-		}
-		if node.Kind == KindConst {
-			fmt.Fprintf(&sb, " %v", node.ConstVal)
-		}
-		if len(node.Fanins) > 0 {
-			fmt.Fprintf(&sb, " <-")
-			for _, f := range node.Fanins {
-				fmt.Fprintf(&sb, " %d", f)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// WriteDOT renders the netlist in Graphviz DOT format.
-func (n *Netlist) WriteDOT() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph %q {\n  rankdir=LR;\n", n.Name)
-	for _, node := range n.nodes {
-		label := node.Type
-		if node.Name != "" {
-			label = node.Name
-		}
-		shape := "box"
-		switch node.Kind {
-		case KindInput, KindOutput:
-			shape = "ellipse"
-		case KindDFF:
-			shape = "box3d"
-		case KindConst:
-			shape = "plaintext"
-			label = map[bool]string{false: "0", true: "1"}[node.ConstVal]
-		}
-		fmt.Fprintf(&sb, "  n%d [label=%q shape=%s];\n", node.ID, label, shape)
-	}
-	for _, node := range n.nodes {
-		for _, f := range node.Fanins {
-			fmt.Fprintf(&sb, "  n%d -> n%d;\n", f, node.ID)
-		}
-	}
-	sb.WriteString("}\n")
-	return sb.String()
 }
 
 // PortNames returns the sorted PI and PO names; useful for interface

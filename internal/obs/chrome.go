@@ -10,10 +10,11 @@ import (
 	"vpga/internal/fsx"
 )
 
-// chromeEvent is one entry of the Chrome trace-event JSON array
+// ChromeEvent is one entry of the Chrome trace-event JSON array
 // (chrome://tracing, Perfetto). Timestamps and durations are in
-// microseconds relative to the tracer epoch.
-type chromeEvent struct {
+// microseconds relative to the trace's epoch. The coordinator decodes
+// worker trace fragments into it and merges them into one timeline.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -25,7 +26,8 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-func usec(d time.Duration) float64 {
+// Micros converts a duration to the trace format's microseconds.
+func Micros(d time.Duration) float64 {
 	return float64(d) / float64(time.Microsecond)
 }
 
@@ -40,7 +42,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		return err
 	}
 	runs := t.Runs()
-	var events []chromeEvent
+	var events []ChromeEvent
 
 	rows := map[int]bool{}
 	for _, r := range runs {
@@ -50,12 +52,12 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	if id := t.TraceID(); id != "" {
 		procArgs["trace_id"] = id
 	}
-	events = append(events, chromeEvent{
+	events = append(events, ChromeEvent{
 		Name: "process_name", Ph: "M", Pid: 1,
 		Args: procArgs,
 	})
 	for row := range rows {
-		events = append(events, chromeEvent{
+		events = append(events, ChromeEvent{
 			Name: "thread_name", Ph: "M", Pid: 1, Tid: row,
 			Args: map[string]any{"name": fmt.Sprintf("worker %d", row)},
 		})
@@ -71,9 +73,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			end = r.tr.since()
 		}
 		sm := r.SolverMetrics()
-		events = append(events, chromeEvent{
+		events = append(events, ChromeEvent{
 			Name: r.Label(), Cat: "run", Ph: "X",
-			Ts: usec(start), Dur: usec(end - start), Pid: 1, Tid: r.Worker(),
+			Ts: Micros(start), Dur: Micros(end - start), Pid: 1, Tid: r.Worker(),
 			Args: map[string]any{
 				"anneal_passes":        sm.AnnealPasses,
 				"anneal_proposed":      sm.AnnealProposed,
@@ -86,9 +88,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			},
 		})
 		for _, s := range spans {
-			events = append(events, chromeEvent{
+			events = append(events, ChromeEvent{
 				Name: s.Stage, Cat: "stage", Ph: "X",
-				Ts: usec(s.Start), Dur: usec(s.Dur), Pid: 1, Tid: r.Worker(),
+				Ts: Micros(s.Start), Dur: Micros(s.Dur), Pid: 1, Tid: r.Worker(),
 				Args: map[string]any{"run": r.Label()},
 			})
 		}
@@ -98,9 +100,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			if a.Err != "" {
 				args["error"] = a.Err
 			}
-			events = append(events, chromeEvent{
+			events = append(events, ChromeEvent{
 				Name: name, Cat: "repair", Ph: "i",
-				Ts: usec(a.At), Pid: 1, Tid: r.Worker(), S: "t",
+				Ts: Micros(a.At), Pid: 1, Tid: r.Worker(), S: "t",
 				Args: args,
 			})
 		}

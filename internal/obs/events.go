@@ -1,7 +1,5 @@
 package obs
 
-import "time"
-
 // Event is one live telemetry event of a tracer: a run opening or
 // closing, a stage span starting or ending, or a repair attempt.
 // Events are the push-side view of the same telemetry the spans
@@ -82,8 +80,4 @@ func (t *Tracer) Wait(cursor int) <-chan struct{} {
 	}
 	t.mu.Unlock()
 	return ch
-}
-
-func eventUS(d time.Duration) float64 {
-	return float64(d) / float64(time.Microsecond)
 }

@@ -227,14 +227,14 @@ func (r *Run) Stage(stage string) func() {
 	}
 	start := r.tr.since()
 	r.tr.publish(Event{Type: "stage_start", Run: r.label, Worker: r.worker,
-		Stage: stage, TsUS: eventUS(start)})
+		Stage: stage, TsUS: Micros(start)})
 	return func() {
 		d := r.tr.since() - start
 		r.mu.Lock()
 		r.spans = append(r.spans, Span{Stage: stage, Start: start, Dur: d})
 		r.mu.Unlock()
 		r.tr.publish(Event{Type: "stage_end", Run: r.label, Worker: r.worker,
-			Stage: stage, TsUS: eventUS(start + d), DurUS: eventUS(d)})
+			Stage: stage, TsUS: Micros(start + d), DurUS: Micros(d)})
 	}
 }
 
@@ -266,7 +266,7 @@ func (r *Run) Attempt(attempt int, action, errMsg string) {
 	r.attempts = append(r.attempts, AttemptEvent{At: at, Attempt: attempt, Action: action, Err: errMsg})
 	r.mu.Unlock()
 	r.tr.publish(Event{Type: "attempt", Run: r.label, Worker: r.worker,
-		Stage: action, TsUS: eventUS(at), Attempt: attempt, Error: errMsg})
+		Stage: action, TsUS: Micros(at), Attempt: attempt, Error: errMsg})
 }
 
 // Close ends the run and releases its worker row for reuse by the next
@@ -285,7 +285,7 @@ func (r *Run) Close() {
 	end := r.end
 	r.mu.Unlock()
 	r.tr.release(r.worker)
-	r.tr.publish(Event{Type: "run_end", Run: r.label, Worker: r.worker, TsUS: eventUS(end)})
+	r.tr.publish(Event{Type: "run_end", Run: r.label, Worker: r.worker, TsUS: Micros(end)})
 }
 
 // Spans returns a copy of the run's recorded spans.
@@ -416,7 +416,7 @@ func (t *Tracer) NewRun(label string) *Run {
 	r := &Run{tr: t, label: label, worker: row, start: t.since()}
 	t.runs = append(t.runs, r)
 	t.mu.Unlock()
-	t.publish(Event{Type: "run_start", Run: label, Worker: row, TsUS: eventUS(r.start)})
+	t.publish(Event{Type: "run_start", Run: label, Worker: row, TsUS: Micros(r.start)})
 	return r
 }
 

@@ -19,15 +19,16 @@ import (
 type Options struct {
 	// MaxIterations bounds the pack ⇄ refine loop (default 4).
 	MaxIterations int
-	// Margin is the PLB-count headroom over the resource lower bound
-	// when sizing the initial array (default 1.10).
-	Margin float64
 	// Criticality holds a per-object timing weight (same indexing as
 	// the placement problem); more critical objects move last. May be
 	// nil.
 	Criticality []float64
 	Seed        int64
 }
+
+// margin is the PLB-count headroom over the resource lower bound when
+// sizing the first array tried.
+const margin = 1.10
 
 // Result describes the legal PLB array.
 type Result struct {
@@ -73,15 +74,14 @@ type packer struct {
 	dest []int
 }
 
-// Run packs the compacted netlist's placement into the smallest PLB
-// array that legalizes. The placement problem's object positions are
-// updated to the legal PLB centers.
+// Run packs the compacted netlist's placement into the first PLB array
+// that legalizes: it tries a square of side ⌈√(1.10·MinPLBs)⌉ first and
+// grows the side by one after each failed attempt, up to 12 sizes. The
+// placement problem's object positions are updated to the legal PLB
+// centers.
 func Run(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, opts Options) (*Result, error) {
 	if opts.MaxIterations == 0 {
 		opts.MaxIterations = 4
-	}
-	if opts.Margin == 0 {
-		opts.Margin = 1.10
 	}
 	p := &packer{arch: arch, nl: nl, prob: prob, opts: opts, pitch: math.Sqrt(arch.Area)}
 	if err := p.resolveConfigs(); err != nil {
@@ -99,7 +99,7 @@ func Run(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, opts Opt
 	if err != nil {
 		return nil, fmt.Errorf("pack: %w", err)
 	}
-	side := int(math.Ceil(math.Sqrt(float64(n) * opts.Margin)))
+	side := int(math.Ceil(math.Sqrt(float64(n) * margin)))
 	for attempt := 0; attempt < 12; attempt++ {
 		p.rows, p.cols = side, side
 		res, err := p.attempt()

@@ -531,19 +531,6 @@ func (p *Problem) Refine(windowFrac float64, passes int, seed int64) {
 	}
 }
 
-// LongNets returns the indexes of nets whose HPWL exceeds frac times
-// the die half-perimeter (buffer-insertion candidates).
-func (p *Problem) LongNets(frac float64) []int {
-	limit := frac * (p.W + p.H)
-	var out []int
-	for i := range p.Nets {
-		if p.netHPWL(&p.Nets[i]) > limit {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

@@ -149,18 +149,6 @@ func TestNetWeights(t *testing.T) {
 	}
 }
 
-func TestLongNets(t *testing.T) {
-	p, _, _ := buildProblem(t, src, 7)
-	all := p.LongNets(0)
-	if len(all) != len(p.Nets) {
-		t.Fatalf("LongNets(0) = %d, want all %d", len(all), len(p.Nets))
-	}
-	none := p.LongNets(10)
-	if len(none) != 0 {
-		t.Fatalf("LongNets(10) = %d, want 0", len(none))
-	}
-}
-
 func TestPadOnlyDesignRejected(t *testing.T) {
 	nl := netlist.New("wire")
 	nl.AddOutput("y", nl.AddInput("a"))

@@ -40,9 +40,10 @@ type Options struct {
 	// InputProb is the assumed probability of 1 on primary inputs
 	// (default 0.5).
 	InputProb float64
-	// Iterations bounds the sequential fixed-point loop (default 16).
-	Iterations int
 }
+
+// iterations bounds the sequential fixed-point loop.
+const iterations = 16
 
 // Report is the power estimate.
 type Report struct {
@@ -73,9 +74,6 @@ func Estimate(nl *netlist.Netlist, arch *cells.PLBArch, pr *place.Problem, route
 	if opts.InputProb == 0 {
 		opts.InputProb = 0.5
 	}
-	if opts.Iterations == 0 {
-		opts.Iterations = 16
-	}
 	order, err := nl.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -96,7 +94,7 @@ func Estimate(nl *netlist.Netlist, arch *cells.PLBArch, pr *place.Problem, route
 		}
 	}
 	// Fixed-point iteration over the sequential loop.
-	for iter := 0; iter < opts.Iterations; iter++ {
+	for iter := 0; iter < iterations; iter++ {
 		delta := 0.0
 		for _, id := range order {
 			n := nl.Node(id)

@@ -12,16 +12,6 @@ import (
 	"vpga/internal/obs"
 )
 
-// GateDesigns and GateArchs span the gate matrix: the same
-// 4-benchmark x 2-architecture x 2-flow space as the paper's Tables
-// 1 and 2, expressed as FlowRequests so every record carries the
-// request cache key the daemon would use.
-var (
-	GateDesigns = []string{"alu", "firewire", "fpu", "switch"}
-	GateArchs   = []string{"granular", "lut"}
-	GateFlows   = []string{"a", "b"}
-)
-
 // GateOptions parameterizes the gate matrix.
 type GateOptions struct {
 	// Scale is "test" (default) or "paper".
@@ -55,13 +45,16 @@ func (o GateOptions) withDefaults() GateOptions {
 }
 
 // GateRequests enumerates the gate matrix as canonical FlowRequests,
-// in deterministic (design, arch, flow) order.
+// in deterministic (design, arch, flow) order: the same 4-benchmark x
+// 2-architecture x 2-flow space as the paper's Tables 1 and 2, as
+// FlowRequests so every record carries the request cache key the
+// daemon would use.
 func GateRequests(opts GateOptions) []core.FlowRequest {
 	opts = opts.withDefaults()
 	var reqs []core.FlowRequest
-	for _, d := range GateDesigns {
-		for _, a := range GateArchs {
-			for _, f := range GateFlows {
+	for _, d := range core.MatrixDesignNames() {
+		for _, a := range core.MatrixArchKinds() {
+			for _, f := range core.MatrixFlows() {
 				reqs = append(reqs, core.FlowRequest{
 					Design: d, Scale: opts.Scale,
 					Arch: core.ArchSpec{Kind: a}, Flow: f,

@@ -23,6 +23,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
@@ -141,6 +142,25 @@ func FromReport(rep *core.Report, seed int64, key string) Record {
 		}
 	}
 	return rec
+}
+
+// MatrixRecords extracts one Record per populated cell of a matrix's
+// reports (design → arch → flow, as core.Matrix.Reports holds them),
+// sorted by ID. Matrix cells are clock-pinned across flows, not
+// request-shaped, so the records carry no cache key.
+func MatrixRecords(reports map[string]map[string]map[string]*core.Report, seed int64) []Record {
+	var recs []Record
+	for _, archs := range reports {
+		for _, flows := range archs {
+			for _, rep := range flows {
+				if rep != nil {
+					recs = append(recs, FromReport(rep, seed, ""))
+				}
+			}
+		}
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].ID() < recs[j].ID() })
+	return recs
 }
 
 // Stamp fills the record's provenance fields: an RFC3339 timestamp and

@@ -205,8 +205,8 @@ func TestCapacityScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.opts.Capacity != 10 || wide.opts.Capacity != 20 {
-		t.Fatalf("capacities %d and %d, want 10 and 20", base.opts.Capacity, wide.opts.Capacity)
+	if base.Capacity() != 10 || wide.Capacity() != 20 {
+		t.Fatalf("capacities %d and %d, want 10 and 20", base.Capacity(), wide.Capacity())
 	}
 	if wide.Overflow > base.Overflow {
 		t.Fatalf("doubling capacity increased overflow: %d -> %d", base.Overflow, wide.Overflow)

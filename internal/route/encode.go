@@ -52,8 +52,8 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 		CellsX: r.CellsX, CellsY: r.CellsY, BinW: r.BinW, BinH: r.BinH,
 		NetLength: r.NetLength, Total: r.Total, SinkDist: r.SinkDist,
 		Overflow: r.Overflow, MaxUtilization: r.MaxUtilization, Iterations: r.Iterations,
-		Capacity: r.opts.Capacity, RPerUnit: r.opts.RPerUnit, CPerUnit: r.opts.CPerUnit,
-		RepeatedDelayPerUnit: r.opts.RepeatedDelayPerUnit, MaxLoadFF: r.opts.MaxLoadFF,
+		Capacity: r.capacity, RPerUnit: r.wire.rPerUnit, CPerUnit: r.wire.cPerUnit,
+		RepeatedDelayPerUnit: r.wire.repeatedDelayPerUnit, MaxLoadFF: r.wire.maxLoadFF,
 		HEdges: r.hEdges, VEdges: r.vEdges,
 	}
 	enc.NetEdges = make([][]int32, len(r.netEdges))
@@ -84,11 +84,9 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 		CellsX: enc.CellsX, CellsY: enc.CellsY, BinW: enc.BinW, BinH: enc.BinH,
 		NetLength: enc.NetLength, Total: enc.Total, SinkDist: enc.SinkDist,
 		Overflow: enc.Overflow, MaxUtilization: enc.MaxUtilization, Iterations: enc.Iterations,
-		opts: Options{
-			Capacity: enc.Capacity, RPerUnit: enc.RPerUnit, CPerUnit: enc.CPerUnit,
-			RepeatedDelayPerUnit: enc.RepeatedDelayPerUnit, MaxLoadFF: enc.MaxLoadFF,
-		},
-		hEdges: enc.HEdges, vEdges: enc.VEdges,
+		capacity: enc.Capacity,
+		wire:     wireModel{enc.RPerUnit, enc.CPerUnit, enc.RepeatedDelayPerUnit, enc.MaxLoadFF},
+		hEdges:   enc.HEdges, vEdges: enc.VEdges,
 	}
 	r.netEdges = make([][]edgeRef, len(enc.NetEdges))
 	for ni, packed := range enc.NetEdges {

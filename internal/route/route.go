@@ -30,28 +30,9 @@ type FaultModel interface {
 
 // Options tunes the router.
 type Options struct {
-	// CellsX/CellsY is the routing grid; zero derives it from the
-	// placement (about one bin per PLB pitch).
-	CellsX, CellsY int
-	// Capacity is the track count per grid edge (default 24).
+	// Capacity is the track count per grid edge; zero derives it from
+	// the bin width (at least 24).
 	Capacity int
-	// MaxIters bounds rip-up-and-reroute rounds (default 12).
-	MaxIters int
-	// RPerUnit and CPerUnit are wire resistance (kΩ) and capacitance
-	// (fF) per placement distance unit (defaults 0.08 kΩ, 0.20 fF: a
-	// scaled mid-layer metal wire).
-	RPerUnit, CPerUnit float64
-	// RepeatedDelayPerUnit is the delay of an optimally repeated wire
-	// in ps per unit (default 2.4, derived from the BUF cell: segment
-	// length L* = sqrt(2·Rb·Cb/(r·c)) ≈ 17 units at ≈ 42 ps per
-	// segment). Long-wire Elmore delay is capped at this linear model,
-	// standing in for the repeater insertion the paper's physical
-	// synthesis performs. Zero disables the cap.
-	RepeatedDelayPerUnit float64
-	// MaxLoadFF bounds the capacitance a driver sees (the repeater
-	// nearest the driver isolates the rest of the tree); default 30 fF,
-	// zero disables.
-	MaxLoadFF float64
 	// CapacityScale multiplies the (derived or explicit) per-edge
 	// capacity; zero means 1.0. The repair ladder widens channels by
 	// raising it.
@@ -101,6 +82,29 @@ func (e *RouteError) Error() string {
 
 func (e *RouteError) Unwrap() error { return e.Err }
 
+// maxIters bounds rip-up-and-reroute rounds.
+const maxIters = 12
+
+// wireModel is the RC model behind WireRC and NetCap: wire resistance
+// (kΩ) and capacitance (fF) per placement distance unit, the delay of
+// an optimally repeated wire (ps per unit) and the load cap (fF), the
+// most wire capacitance a net presents to its source gate. A zero
+// repeated delay or load cap disables it.
+type wireModel struct {
+	rPerUnit, cPerUnit, repeatedDelayPerUnit, maxLoadFF float64
+}
+
+// defaultWire is the one wire model every design routes under: a
+// scaled mid-layer metal wire of 0.08 kΩ and 0.20 fF per unit. The
+// repeated-wire delay of 2.4 ps per unit is derived from the BUF cell
+// (segment length L* = sqrt(2·Rb·Cb/(r·c)) ≈ 17 units at ≈ 42 ps per
+// segment); long-wire Elmore delay is capped at that linear model,
+// standing in for the repeater insertion the paper's physical
+// synthesis performs. The repeater nearest a net's source isolates the
+// rest of the tree, so the source gate sees at most 30 fF. It is a
+// variable only because Go has no struct constants; nothing writes it.
+var defaultWire = wireModel{rPerUnit: 0.08, cPerUnit: 0.20, repeatedDelayPerUnit: 2.4, maxLoadFF: 30}
+
 // Result is a routed design.
 type Result struct {
 	CellsX, CellsY int
@@ -118,7 +122,10 @@ type Result struct {
 	// Iterations actually run.
 	Iterations int
 
-	opts Options
+	// The channel width and wire model the design was routed (or
+	// decoded) with.
+	capacity int
+	wire     wireModel
 	// Retained for detailed routing (track assignment).
 	netEdges       [][]edgeRef
 	hEdges, vEdges []int16
@@ -127,18 +134,18 @@ type Result struct {
 // Capacity returns the per-edge track capacity the router actually
 // used (the derived or explicit channel width, after CapacityScale).
 func (r *Result) Capacity() int {
-	return r.opts.Capacity
+	return r.capacity
 }
 
 // WireRC returns the wire delay (ps) and load capacitance (fF) seen by
 // net n's driver toward sink k. Short wires follow the lumped Elmore
 // model delay = r·L·(c·L/2); past the repeater crossover the delay is
 // capped at the linear optimally-repeated-wire model (see
-// Options.RepeatedDelayPerUnit).
+// defaultWire).
 func (r *Result) WireRC(net, sink int) (delayPS, capFF float64) {
 	L := r.SinkDist[net][sink]
-	elmore := r.opts.RPerUnit * L * (r.opts.CPerUnit * L / 2)
-	if rep := r.opts.RepeatedDelayPerUnit; rep > 0 {
+	elmore := r.wire.rPerUnit * L * (r.wire.cPerUnit * L / 2)
+	if rep := r.wire.repeatedDelayPerUnit; rep > 0 {
 		if lin := rep * L; lin < elmore {
 			elmore = lin
 		}
@@ -147,12 +154,12 @@ func (r *Result) WireRC(net, sink int) (delayPS, capFF float64) {
 }
 
 // NetCap returns the wire capacitance net n presents to its driver:
-// the tree's total capacitance, bounded by MaxLoadFF when repeaters
+// the tree's total capacitance, bounded by wire.maxLoadFF when repeaters
 // isolate the driver from the far tree.
 func (r *Result) NetCap(net int) float64 {
-	c := r.opts.CPerUnit * r.NetLength[net]
-	if r.opts.MaxLoadFF > 0 && c > r.opts.MaxLoadFF {
-		return r.opts.MaxLoadFF
+	c := r.wire.cPerUnit * r.NetLength[net]
+	if r.wire.maxLoadFF > 0 && c > r.wire.maxLoadFF {
+		return r.wire.maxLoadFF
 	}
 	return c
 }
@@ -166,43 +173,25 @@ const MaxCapacity = 4096
 
 // Route routes every placement net.
 func Route(prob *place.Problem, opts Options) (*Result, error) {
-	if opts.MaxIters == 0 {
-		opts.MaxIters = 12
-	}
-	if opts.RPerUnit == 0 {
-		opts.RPerUnit = 0.08
-	}
-	if opts.CPerUnit == 0 {
-		opts.CPerUnit = 0.20
-	}
-	if opts.RepeatedDelayPerUnit == 0 {
-		opts.RepeatedDelayPerUnit = 2.4
-	}
-	if opts.MaxLoadFF == 0 {
-		opts.MaxLoadFF = 30
-	}
-	if opts.CellsX == 0 {
-		opts.CellsX = clampInt(int(math.Ceil(prob.W/4)), 4, 512)
-	}
-	if opts.CellsY == 0 {
-		opts.CellsY = clampInt(int(math.Ceil(prob.H/4)), 4, 512)
-	}
+	// The grid is about one bin per PLB pitch.
+	nx := clampInt(int(math.Ceil(prob.W/4)), 4, 512)
+	ny := clampInt(int(math.Ceil(prob.H/4)), 4, 512)
 	if opts.CellsScale > 1 {
-		opts.CellsX = clampInt(int(float64(opts.CellsX)/opts.CellsScale), 2, 512)
-		opts.CellsY = clampInt(int(float64(opts.CellsY)/opts.CellsScale), 2, 512)
+		nx = clampInt(int(float64(nx)/opts.CellsScale), 2, 512)
+		ny = clampInt(int(float64(ny)/opts.CellsScale), 2, 512)
 	}
 	if opts.Capacity == 0 {
 		// Track capacity scales with the bin span: roughly 20 tracks of
 		// upper-layer metal per placement unit of bin width (the VPGA
 		// routes ASIC-style across several metal layers above the
 		// array).
-		binW := prob.W / float64(opts.CellsX)
+		binW := prob.W / float64(nx)
 		opts.Capacity = clampInt(int(binW*20), 24, MaxCapacity)
 	}
 	if opts.CapacityScale > 0 {
 		opts.Capacity = maxI(1, int(float64(opts.Capacity)*opts.CapacityScale))
 	}
-	r := &router{prob: prob, opts: opts}
+	r := &router{prob: prob, opts: opts, nx: nx, ny: ny}
 	return r.run()
 }
 
@@ -263,7 +252,6 @@ func (r *router) binOf(oi int32) point {
 }
 
 func (r *router) run() (*Result, error) {
-	r.nx, r.ny = r.opts.CellsX, r.opts.CellsY
 	r.binW = r.prob.W / float64(r.nx)
 	r.binH = r.prob.H / float64(r.ny)
 	nets := r.prob.Nets
@@ -294,7 +282,7 @@ func (r *router) run() (*Result, error) {
 		bestVUse = append(bestVUse[:0], r.vUse...)
 		bestNetEdges = append(bestNetEdges[:0], r.netEdges...)
 	}
-	for iter := 0; iter < r.opts.MaxIters; iter++ {
+	for iter := 0; iter < maxIters; iter++ {
 		// Cancellation is honored only at iteration boundaries, so a run
 		// that completes is bit-identical with or without a context.
 		if r.opts.Ctx != nil {
@@ -911,7 +899,8 @@ func (r *router) finish(iters int) (*Result, error) {
 		NetLength:  make([]float64, len(r.prob.Nets)),
 		SinkDist:   make([][]float64, len(r.prob.Nets)),
 		Iterations: iters,
-		opts:       r.opts,
+		capacity:   r.opts.Capacity,
+		wire:       defaultWire,
 		netEdges:   r.netEdges,
 		hEdges:     r.hUse,
 		vEdges:     r.vUse,

@@ -8,6 +8,7 @@ import (
 	"vpga/internal/compact"
 	"vpga/internal/logic"
 	"vpga/internal/netlist"
+	"vpga/internal/obs"
 	"vpga/internal/place"
 	"vpga/internal/rtl"
 	"vpga/internal/techmap"
@@ -128,35 +129,24 @@ func TestWireRC(t *testing.T) {
 
 func TestCongestionNegotiation(t *testing.T) {
 	// Tiny capacity forces negotiation; router must still converge on
-	// this small design.
+	// this small design. The trace's first sample is the overflow a
+	// single routing round leaves.
 	prob := prepPlacement(t, src)
-	tight, err := Route(prob, Options{Capacity: 3, MaxIters: 30})
+	trace := &obs.RouteTrace{}
+	tight, err := Route(prob, Options{Capacity: 3, Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneShot, err := Route(prob, Options{Capacity: 3, MaxIters: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.Overflow > oneShot.Overflow {
-		t.Errorf("negotiation increased overflow: %d -> %d", oneShot.Overflow, tight.Overflow)
+	overflows, _ := trace.Snapshot()
+	oneShot := overflows[0]
+	if tight.Overflow > oneShot {
+		t.Errorf("negotiation increased overflow: %d -> %d", oneShot, tight.Overflow)
 	}
 	if tight.Iterations <= 1 && tight.Overflow > 0 {
 		t.Error("overflow remains but router stopped after one iteration")
 	}
 	t.Logf("capacity-3 overflow: one-shot %d, negotiated %d (%d iterations)",
-		oneShot.Overflow, tight.Overflow, tight.Iterations)
-}
-
-func TestGridOverride(t *testing.T) {
-	prob := prepPlacement(t, src)
-	res, err := Route(prob, Options{CellsX: 6, CellsY: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CellsX != 6 || res.CellsY != 7 {
-		t.Fatalf("grid %dx%d, want 6x7", res.CellsX, res.CellsY)
-	}
+		oneShot, tight.Overflow, tight.Iterations)
 }
 
 func TestRouteTinyDesign(t *testing.T) {

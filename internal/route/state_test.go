@@ -9,7 +9,7 @@ import (
 // the incremental overflow bookkeeping sees boundary crossings in both
 // directions.
 func tightOpts() Options {
-	return Options{Capacity: 2, MaxIters: 6}
+	return Options{Capacity: 2}
 }
 
 // TestIncrementalOverflowMatchesScan cross-checks, at every
@@ -103,10 +103,10 @@ func TestPooledRoutingBitIdentical(t *testing.T) {
 	}
 	// Dirty the pooled state: a congested run (history, incidence
 	// lists, overflow counters all nonzero) and a different grid shape.
-	if _, err := Route(prob, Options{Pool: pool, Capacity: 2, MaxIters: 6}); err != nil {
+	if _, err := Route(prob, Options{Pool: pool, Capacity: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Route(prob, Options{Pool: pool, CellsX: 7, CellsY: 5}); err != nil {
+	if _, err := Route(prob, Options{Pool: pool, CellsScale: 2}); err != nil {
 		t.Fatal(err)
 	}
 	again, err := Route(prob, withPool)
@@ -116,7 +116,7 @@ func TestPooledRoutingBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(keyOf(again), keyOf(cold)) {
 		t.Fatal("pooled run after reuse differs from cold run")
 	}
-	tightAgain, err := Route(prob, Options{Pool: pool, Capacity: 2, MaxIters: 6})
+	tightAgain, err := Route(prob, Options{Pool: pool, Capacity: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ type TrackAssignment struct {
 // pick); each net prefers to continue on its previous track and
 // otherwise takes the lowest free track of the channel.
 func (r *Result) AssignTracks() *TrackAssignment {
-	capacity := r.opts.Capacity
+	capacity := r.capacity
 	// Occupancy per edge: a bitset of capacity tracks.
 	words := (capacity + 63) / 64
 	hOcc := make([]uint64, len(r.hEdges)*words)

@@ -16,6 +16,7 @@ import (
 
 	"vpga/internal/core"
 	"vpga/internal/faultinject"
+	"vpga/internal/obs"
 )
 
 // peerFetchPoint is the fault-injection point armed around every
@@ -133,9 +134,9 @@ func (n *nodeClient) cacheGet(ctx context.Context, key string) ([]byte, bool) {
 // failure — transport, non-200, malformed JSON — yields (nil, false):
 // a fragment is decoration on the coordinator-side ticket span, never
 // load-bearing.
-func (n *nodeClient) traceFragment(ctx context.Context, jobID string) ([]traceEvent, bool) {
+func (n *nodeClient) traceFragment(ctx context.Context, jobID string) ([]obs.ChromeEvent, bool) {
 	raw, status, err := n.get(ctx, "/v1/runs/"+url.PathEscape(jobID)+"/trace")
-	var frag []traceEvent
+	var frag []obs.ChromeEvent
 	if err != nil || status != http.StatusOK || json.Unmarshal(raw, &frag) != nil {
 		return nil, false
 	}

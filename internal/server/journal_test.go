@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"vpga/internal/faultinject"
@@ -200,4 +202,74 @@ func TestJournalNilSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	jn.close()
+}
+
+// FuzzOpenJournal: replaying any bytes as a journal yields entries,
+// never a panic, and never fails on a readable file. It leaves exactly
+// the intact prefix behind: a second open replays the same entries
+// with no torn frame. Every accepted entry's body parses to a spec or
+// an error, as restart replay parses it.
+func FuzzOpenJournal(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "journal.wal")
+	jn, _, err := openJournal(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range []journalEntry{
+		{ID: "j000001", State: "accepted", Kind: "run", Key: "k1", Body: json.RawMessage(`{"design":"alu","seed":5}`)},
+		{ID: "j000001", State: "running"},
+		{ID: "j000001", State: "done"},
+		{ID: "j000002", State: "accepted", Kind: "matrix", Key: "k2", Body: json.RawMessage(`{"seed":3,"place_effort":1}`)},
+	} {
+		if err := jn.append(e, false); err != nil {
+			f.Fatal(err)
+		}
+	}
+	jn.close()
+	four, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(four)
+	f.Add(four[:len(four)-5]) // torn tail
+	f.Add([]byte{})
+	f.Add([]byte("\x07\x00\x00\x00garbage, not a frame"))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "journal.wal")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jn, entries, err := openJournal(path)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		jn.f.Close()
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(raw, kept) {
+			t.Fatalf("replay kept %d bytes that are not a prefix of the %d written", len(kept), len(raw))
+		}
+		if (jn.corruptFrames == 0) != (len(kept) == len(raw)) {
+			t.Fatalf("%d torn frames, but kept %d of %d bytes", jn.corruptFrames, len(kept), len(raw))
+		}
+		jn2, again, err := openJournal(path)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		jn2.f.Close()
+		if jn2.corruptFrames != 0 {
+			t.Fatalf("the kept prefix replays with %d torn frames", jn2.corruptFrames)
+		}
+		if !reflect.DeepEqual(again, entries) {
+			t.Fatalf("reopen replayed %d entries, the first open %d", len(again), len(entries))
+		}
+		for _, e := range entries {
+			if e.State == "accepted" {
+				parseSpec(e.Kind, e.Body)
+			}
+		}
+	})
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"vpga/internal/bench"
 	"vpga/internal/cells"
@@ -249,26 +248,13 @@ func (r MatrixRequest) fanOut(ctx context.Context, run ticketFunc, tr *jobTrace)
 	return matrixResult(m), nil
 }
 
-// ledger appends every populated cell. Matrix cells are not
-// request-shaped (the matrix pins clocks across flows), so their
-// records carry no cache key.
+// ledger appends every populated cell, keyless (see qor.MatrixRecords).
 func (r MatrixRequest) ledger(res any, _ string) []qor.Record {
 	m, ok := res.(MatrixResult)
 	if !ok {
 		return nil
 	}
-	var recs []qor.Record
-	for _, archs := range m.Reports {
-		for _, flows := range archs {
-			for _, rep := range flows {
-				if rep != nil {
-					recs = append(recs, qor.FromReport(rep, r.Seed, ""))
-				}
-			}
-		}
-	}
-	sort.Slice(recs, func(i, k int) bool { return recs[i].ID() < recs[k].ID() })
-	return recs
+	return qor.MatrixRecords(m.Reports, r.Seed)
 }
 
 // MatrixResult is the matrix job payload: every populated report

@@ -6,11 +6,13 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"vpga/internal/obs"
 )
 
 // getTrace fetches and decodes a merged (or worker-local) Chrome
 // trace-event array.
-func getTrace(t *testing.T, url string) []traceEvent {
+func getTrace(t *testing.T, url string) []obs.ChromeEvent {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -20,7 +22,7 @@ func getTrace(t *testing.T, url string) []traceEvent {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET %s: %d", url, resp.StatusCode)
 	}
-	var events []traceEvent
+	var events []obs.ChromeEvent
 	if err := json.NewDecoder(resp.Body).Decode(&events); err != nil {
 		t.Fatalf("trace is not a JSON event array: %v", err)
 	}

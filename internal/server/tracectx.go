@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"vpga/internal/obs"
 )
 
 // Distributed trace context. The coordinator mints one trace ID per
@@ -179,26 +181,6 @@ func (t *jobTrace) snapshot() (spans []ctrlSpan, instants []ctrlInstant, tickets
 // ---------------------------------------------------------------------------
 // Merged Chrome trace assembly.
 
-// traceEvent mirrors the Chrome trace-event JSON entry the obs package
-// emits, re-declared here because merging happens over the wire: the
-// coordinator decodes worker fragments from JSON, it never holds their
-// tracers.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-func durUS(d time.Duration) float64 {
-	return float64(d) / float64(time.Microsecond)
-}
-
 // assignLanes packs a node's tickets onto the fewest rows: tickets are
 // sorted by start and each takes the lowest lane whose previous
 // occupant already ended (interval partitioning). Sequential execution
@@ -241,16 +223,16 @@ func assignLanes(tickets []ticketRecord) []int {
 // worker job's epoch onto the coordinator job's timeline. A dead
 // node's fragments are simply absent: its ticket spans (recorded
 // coordinator-side) still show what it ran before dying.
-func (c *Coordinator) mergedTrace(ctx context.Context, j *job) []traceEvent {
+func (c *Coordinator) mergedTrace(ctx context.Context, j *job) []obs.ChromeEvent {
 	spans, instants, tickets := j.trace.snapshot()
 	traceID := j.traceID
 
-	var events []traceEvent
-	events = append(events, traceEvent{
+	var events []obs.ChromeEvent
+	events = append(events, obs.ChromeEvent{
 		Name: "process_name", Ph: "M", Pid: 0,
 		Args: map[string]any{"name": "coordinator", "trace_id": traceID},
 	})
-	events = append(events, traceEvent{
+	events = append(events, obs.ChromeEvent{
 		Name: "thread_name", Ph: "M", Pid: 0, Tid: 0,
 		Args: map[string]any{"name": "control"},
 	})
@@ -268,23 +250,23 @@ func (c *Coordinator) mergedTrace(ctx context.Context, j *job) []traceEvent {
 		}
 		pid := i + 1
 		nodePid[base] = pid
-		events = append(events, traceEvent{
+		events = append(events, obs.ChromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid,
 			Args: map[string]any{"name": "worker " + base, "trace_id": traceID},
 		})
 	}
 
 	for _, s := range spans {
-		events = append(events, traceEvent{
+		events = append(events, obs.ChromeEvent{
 			Name: s.name, Cat: "coordinator", Ph: "X",
-			Ts: durUS(s.start), Dur: durUS(s.end - s.start), Pid: 0, Tid: 0,
+			Ts: obs.Micros(s.start), Dur: obs.Micros(s.end - s.start), Pid: 0, Tid: 0,
 			Args: s.args,
 		})
 	}
 	for _, in := range instants {
-		events = append(events, traceEvent{
+		events = append(events, obs.ChromeEvent{
 			Name: in.name, Cat: "coordinator", Ph: "i",
-			Ts: durUS(in.at), Pid: 0, Tid: 0, S: "p",
+			Ts: obs.Micros(in.at), Pid: 0, Tid: 0, S: "p",
 			Args: in.args,
 		})
 	}
@@ -308,7 +290,7 @@ func (c *Coordinator) mergedTrace(ctx context.Context, j *job) []traceEvent {
 			}
 		}
 		for l := 0; l <= maxLane; l++ {
-			events = append(events, traceEvent{
+			events = append(events, obs.ChromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: l,
 				Args: map[string]any{"name": fmt.Sprintf("lane %d", l)},
 			})
@@ -331,9 +313,9 @@ func (c *Coordinator) mergedTrace(ctx context.Context, j *job) []traceEvent {
 			if rec.err != "" {
 				args["error"] = rec.err
 			}
-			events = append(events, traceEvent{
+			events = append(events, obs.ChromeEvent{
 				Name: rec.name, Cat: "ticket", Ph: "X",
-				Ts: durUS(rec.start), Dur: durUS(rec.end - rec.start),
+				Ts: obs.Micros(rec.start), Dur: obs.Micros(rec.end - rec.start),
 				Pid: pid, Tid: lanes[i], Args: args,
 			})
 			if rec.workerJob == "" || n == nil || n.down.Load() {
@@ -352,7 +334,7 @@ func (c *Coordinator) mergedTrace(ctx context.Context, j *job) []traceEvent {
 				}
 				fe.Pid = pid
 				fe.Tid = lanes[i]
-				fe.Ts += durUS(rec.start)
+				fe.Ts += obs.Micros(rec.start)
 				if fe.Args == nil {
 					fe.Args = map[string]any{}
 				}

@@ -26,13 +26,14 @@ const SetupPS = 50
 // genuinely unconstrained node under an exact equality check.
 const unconstrained = 1e18
 
+// topK is the number of worst endpoint slacks reported, matching the
+// paper's "Path Slack 1-10".
+const topK = 10
+
 // Options configures the analysis.
 type Options struct {
 	// ClockPeriod is the timing target in ps.
 	ClockPeriod float64
-	// TopK is the number of worst endpoint slacks to report (default
-	// 10, matching the paper's "Path Slack 1-10").
-	TopK int
 }
 
 // PathElem is one stage of a reported critical path.
@@ -46,7 +47,7 @@ type PathElem struct {
 type Report struct {
 	// WorstSlack is min over all endpoints (ps).
 	WorstSlack float64
-	// TopSlacks lists the TopK worst endpoint slacks, worst first.
+	// TopSlacks lists the topK (10) worst endpoint slacks, worst first.
 	TopSlacks []float64
 	// AvgTopSlack averages TopSlacks — the Table 2 comparison metric.
 	AvgTopSlack float64
@@ -78,9 +79,6 @@ func params(arch *cells.PLBArch, typ string) (timingParams, bool) {
 // (zero wire parasitics); when given, prob is nl's placement problem
 // and wire RC is taken from the routed trees.
 func Analyze(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, routes *route.Result, opts Options) (*Report, error) {
-	if opts.TopK == 0 {
-		opts.TopK = 10
-	}
 	order, err := nl.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -250,7 +248,7 @@ func Analyze(nl *netlist.Netlist, arch *cells.PLBArch, prob *place.Problem, rout
 	}
 
 	rep := &Report{MaxArrival: maxArr, Arrival: arrival}
-	k := opts.TopK
+	k := topK
 	if k > len(sel) {
 		k = len(sel)
 	}

@@ -17,7 +17,6 @@ package viamap
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"vpga/internal/cells"
@@ -604,10 +603,3 @@ func PotentialSites(arch *cells.PLBArch) int {
 // paper's "the area cost for such heterogeneity is far less for a
 // VPGA than for SRAM programmed fabrics".
 func SRAMBitsEquivalent(arch *cells.PLBArch) int { return PotentialSites(arch) }
-
-// ConfigNames lists the configurations this package can personalize.
-func ConfigNames() []string {
-	out := []string{"ND2", "ND3", "MX", "NDMX", "XOAMX", "XOANDMX", "LUT", "FA"}
-	sort.Strings(out)
-	return out
-}

@@ -137,18 +137,6 @@ func TestPotentialSitesGranularVsLUT(t *testing.T) {
 	t.Logf("potential via sites: granular=%d lut=%d (ratio %.2f)", g, l, float64(g)/float64(l))
 }
 
-func TestConfigNamesSorted(t *testing.T) {
-	names := ConfigNames()
-	if len(names) != 8 {
-		t.Fatalf("got %d config names", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatal("not sorted")
-		}
-	}
-}
-
 func TestVerifyCatchesCorruption(t *testing.T) {
 	p, err := Program("MX", logic.TTXor2.Extend(3))
 	if err != nil {

@@ -220,7 +220,7 @@ type FlowError = core.FlowError
 type AttemptRecord = core.AttemptRecord
 
 // RunMatrix executes the full Table 1/2 experiment under the flow
-// supervisor: worker panics, per-run timeouts and unroutable defect
+// supervisor: worker panics, timed-out runs and unroutable defect
 // maps become entries in the matrix's error ledger instead of crashes.
 func RunMatrix(ctx context.Context, s Suite, opts MatrixOptions) (*Matrix, error) {
 	return core.RunMatrix(ctx, s, opts)
@@ -347,7 +347,7 @@ type Tracer = obs.Tracer
 type TraceRun = obs.Run
 
 // StageTiming is an aggregated per-stage wall-time entry of a traced
-// run (Report.Stages, Matrix.StageTotals).
+// run (Report.Stages, Tracer.StageTotals).
 type StageTiming = obs.StageTiming
 
 // SolverMetrics carries the solver counters of a traced run
