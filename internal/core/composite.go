@@ -40,18 +40,13 @@ type CellRunner struct {
 	// Lane runs body on one execution lane and returns when body does;
 	// body calls run once per cell of the lane, in order. A local
 	// runner holds a pool slot and a stage-cache tier for the lane's
-	// lifetime; a ticket runner holds nothing. weight estimates the
+	// lifetime; a ticket runner holds the worker node its previous cell
+	// ran on, whose stage tier serves the next. weight estimates the
 	// lane's work, for a runner that orders lanes waiting on a bounded
 	// pool: ExecuteMatrix gives a design's pin lane +Inf, since every
 	// other lane of the design waits on it, and each dependent lane its
 	// pin report's Runtime; ExecuteSweep passes 0.
 	Lane func(weight float64, body func(run CellFunc))
-	// Chain asks ExecuteMatrix for one lane per (design, arch): the pin
-	// heads the granular lane and each flow b follows its flow a, so a
-	// lane's stage tier hands the compacted netlist and placement from
-	// one flow to the next. Without it every cell gets a lane of its
-	// own and a design's three dependents start at once.
-	Chain bool
 }
 
 // ExecuteMatrix runs the Table 1/2 matrix over designs with runner r.
@@ -63,6 +58,9 @@ type CellRunner struct {
 //     0, and its report is reclocked to 1.2× its post-layout arrival —
 //     the one cycle time all four cells of the design run at, as in the
 //     paper's tables;
+//   - the lanes: one per (design, arch), flow a then flow b, so a
+//     lane's runner can hand flow a's compacted netlist and placement
+//     to flow b (the pin heads the granular lane);
 //   - the ledger (Matrix.Errors) in (design, arch, flow) order, with
 //     the three dependents of a failed pin entered as Stage "skipped"
 //     when keepGoing is set;
@@ -165,9 +163,8 @@ func (x *matrixRun) spawn(weight float64, body func(run CellFunc)) {
 }
 
 // design runs design di's pin on the caller's lane, then its
-// dependents at the pinned clock: a chained runner keeps the pin's
-// arch on this lane and gives each other arch a lane; otherwise every
-// dependent gets a lane of its own.
+// dependents at the pinned clock: the pin's arch continues on this
+// lane, and each other arch gets a lane of its own.
 func (x *matrixRun) design(di int, run CellFunc) {
 	cells := matrixCells(di, 0)
 	pin := x.run(run, cells[0])
@@ -184,26 +181,22 @@ func (x *matrixRun) design(di int, run CellFunc) {
 	pin.Reclock(clock)
 	x.store(cells[0], pin)
 
-	var lanes [][]Cell
+	var lanes [][]Cell // by arch; lanes[0] is the pin's
 	for _, c := range matrixCells(di, clock)[1:] {
-		if n := len(lanes); x.r.Chain && n > 0 && lanes[n-1][0].Arch == c.Arch {
+		if n := len(lanes); n > 0 && lanes[n-1][0].Arch == c.Arch {
 			lanes[n-1] = append(lanes[n-1], c)
 		} else {
 			lanes = append(lanes, []Cell{c})
 		}
 	}
-	var here []Cell
-	if x.r.Chain && lanes[0][0].Arch == cells[0].Arch {
-		here, lanes = lanes[0], lanes[1:]
-	}
-	for _, lane := range lanes {
+	for _, lane := range lanes[1:] {
 		x.spawn(float64(pin.Runtime), func(run CellFunc) {
 			for _, c := range lane {
 				x.runStore(run, c)
 			}
 		})
 	}
-	for _, c := range here {
+	for _, c := range lanes[0] {
 		x.runStore(run, c)
 	}
 }

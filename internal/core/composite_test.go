@@ -31,9 +31,9 @@ type fakeCells struct {
 	weights []float64
 }
 
-func (f *fakeCells) runner(par int, chain bool) CellRunner {
+func (f *fakeCells) runner(par int) CellRunner {
 	sem := make(chan struct{}, par)
-	return CellRunner{Chain: chain, Lane: func(weight float64, body func(run CellFunc)) {
+	return CellRunner{Lane: func(weight float64, body func(run CellFunc)) {
 		sem <- struct{}{}
 		defer func() { <-sem }()
 		var lane []Cell
@@ -62,119 +62,111 @@ func (f *fakeCells) runner(par int, chain bool) CellRunner {
 }
 
 // TestExecuteMatrixRules checks the executor's cross-cell rules with a
-// fake runner, chained and unchained, at Parallel 1 and 4: cell order
-// and lanes, lane weights, the pinned clock and the pin's Reclock, the
-// three skipped entries after a failed pin, ledger order and progress
-// order.
+// fake runner at Parallel 1 and 4: cell order and lanes, lane weights,
+// the pinned clock and the pin's Reclock, the three skipped entries
+// after a failed pin, ledger order and progress order.
 func TestExecuteMatrixRules(t *testing.T) {
 	designs := smallSuite().All()
 	broken := 2 // FPU: its pin fails
 	var want []string
-	for i, chain := range []bool{true, false} {
-		for _, par := range []int{1, 4} {
-			f := &fakeCells{designs: designs, fail: func(c Cell) bool {
-				return c.Design == broken && c.Arch == 0 && c.Flow == FlowA
-			}}
-			var lines []string
-			m, err := ExecuteMatrix(context.Background(), designs, f.runner(par, chain), true,
-				func(s string) { lines = append(lines, s) })
-			if err != nil {
-				t.Fatalf("chain=%v par=%d: keepGoing returned %v", chain, par, err)
-			}
+	for _, par := range []int{1, 4} {
+		f := &fakeCells{designs: designs, fail: func(c Cell) bool {
+			return c.Design == broken && c.Arch == 0 && c.Flow == FlowA
+		}}
+		var lines []string
+		m, err := ExecuteMatrix(context.Background(), designs, f.runner(par), true,
+			func(s string) { lines = append(lines, s) })
+		if err != nil {
+			t.Fatalf("par=%d: keepGoing returned %v", par, err)
+		}
 
-			// Lanes: a chained runner keeps each (design, arch) on one
-			// lane in flow order; otherwise every cell is a lane. Every
-			// lane of a design other than the pin's runs at the pinned
-			// clock, and the pin's lane starts at clock 0. A pin's lane
-			// waits at weight +Inf, every other lane at its pin report's
-			// Runtime.
-			lanes := map[string]bool{}
-			for li, lane := range f.lanes {
-				if len(lane) == 0 {
-					t.Fatalf("chain=%v par=%d: empty lane", chain, par)
-				}
-				di := lane[0].Design
-				weight := float64(time.Duration(di+1) * time.Millisecond)
-				if lane[0].Arch == 0 && lane[0].Flow == FlowA {
-					weight = math.Inf(1)
-				}
-				if f.weights[li] != weight {
-					t.Fatalf("chain=%v par=%d: lane %v has weight %g, want %g", chain, par, lane, f.weights[li], weight)
-				}
-				clock := 1.2 * float64(1000*(di+1))
-				var names []string
-				for k, c := range lane {
-					if c.Design != di {
-						t.Fatalf("lane %v spans designs", lane)
-					}
-					pin := c.Arch == 0 && c.Flow == FlowA
-					if pin && (k != 0 || c.Clock != 0) || !pin && c.Clock != clock {
-						t.Fatalf("chain=%v: cell %+v at clock %g, want %g (pin at 0, first on its lane)", chain, c, c.Clock, clock)
-					}
-					names = append(names, MatrixCellLabel(designs[di].Name, c))
-				}
-				lanes[strings.Join(names, " -> ")] = true
+		// Lanes: each (design, arch) runs on one lane in flow order. Every
+		// lane of a design other than the pin's runs at the pinned
+		// clock, and the pin's lane starts at clock 0. A pin's lane
+		// waits at weight +Inf, every other lane at its pin report's
+		// Runtime.
+		lanes := map[string]bool{}
+		for li, lane := range f.lanes {
+			if len(lane) == 0 {
+				t.Fatalf("par=%d: empty lane", par)
 			}
-			var wantLanes []string
-			for di, d := range designs {
-				pin := d.Name + "/granular-plb/flow a (pin)"
-				switch {
-				case di == broken:
-					wantLanes = append(wantLanes, pin)
-				case chain:
-					wantLanes = append(wantLanes, pin+" -> "+d.Name+"/granular-plb/flow b",
-						d.Name+"/lut-plb/flow a -> "+d.Name+"/lut-plb/flow b")
-				default:
-					wantLanes = append(wantLanes, pin, d.Name+"/granular-plb/flow b",
-						d.Name+"/lut-plb/flow a", d.Name+"/lut-plb/flow b")
+			di := lane[0].Design
+			weight := float64(time.Duration(di+1) * time.Millisecond)
+			if lane[0].Arch == 0 && lane[0].Flow == FlowA {
+				weight = math.Inf(1)
+			}
+			if f.weights[li] != weight {
+				t.Fatalf("par=%d: lane %v has weight %g, want %g", par, lane, f.weights[li], weight)
+			}
+			clock := 1.2 * float64(1000*(di+1))
+			var names []string
+			for k, c := range lane {
+				if c.Design != di {
+					t.Fatalf("lane %v spans designs", lane)
 				}
-			}
-			if len(lanes) != len(wantLanes) || len(f.lanes) != len(wantLanes) {
-				t.Fatalf("chain=%v par=%d: lanes %v, want %v", chain, par, lanes, wantLanes)
-			}
-			for _, l := range wantLanes {
-				if !lanes[l] {
-					t.Fatalf("chain=%v par=%d: missing lane %q in %v", chain, par, l, lanes)
+				pin := c.Arch == 0 && c.Flow == FlowA
+				if pin && (k != 0 || c.Clock != 0) || !pin && c.Clock != clock {
+					t.Fatalf("cell %+v at clock %g, want %g (pin at 0, first on its lane)", c, c.Clock, clock)
 				}
+				names = append(names, MatrixCellLabel(designs[di].Name, c))
 			}
+			lanes[strings.Join(names, " -> ")] = true
+		}
+		var wantLanes []string
+		for di, d := range designs {
+			pin := d.Name + "/granular-plb/flow a (pin)"
+			if di == broken {
+				wantLanes = append(wantLanes, pin)
+			} else {
+				wantLanes = append(wantLanes, pin+" -> "+d.Name+"/granular-plb/flow b",
+					d.Name+"/lut-plb/flow a -> "+d.Name+"/lut-plb/flow b")
+			}
+		}
+		if len(lanes) != len(wantLanes) || len(f.lanes) != len(wantLanes) {
+			t.Fatalf("par=%d: lanes %v, want %v", par, lanes, wantLanes)
+		}
+		for _, l := range wantLanes {
+			if !lanes[l] {
+				t.Fatalf("par=%d: missing lane %q in %v", par, l, lanes)
+			}
+		}
 
-			// The pin's report is reclocked to 1.2x its arrival.
-			for di, d := range designs {
-				pin := m.Get(d.Name, "granular-plb", FlowA)
-				if di == broken {
-					if pin != nil {
-						t.Fatal("failed pin holds a report")
-					}
-					continue
+		// The pin's report is reclocked to 1.2x its arrival.
+		for di, d := range designs {
+			pin := m.Get(d.Name, "granular-plb", FlowA)
+			if di == broken {
+				if pin != nil {
+					t.Fatal("failed pin holds a report")
 				}
-				clock := 1.2 * pin.MaxArrival
-				if pin.ClockPeriod != clock || pin.AvgTopSlack != 50+(clock-900) || pin.WorstSlack != 10+(clock-900) {
-					t.Fatalf("pin %s not reclocked to %g: %+v", d.Name, clock, pin)
-				}
+				continue
 			}
+			clock := 1.2 * pin.MaxArrival
+			if pin.ClockPeriod != clock || pin.AvgTopSlack != 50+(clock-900) || pin.WorstSlack != 10+(clock-900) {
+				t.Fatalf("pin %s not reclocked to %g: %+v", d.Name, clock, pin)
+			}
+		}
 
-			// The ledger: the failed pin, then its three skipped
-			// dependents, in (design, arch, flow) order.
-			var ledger []string
-			for _, fe := range m.Errors {
-				ledger = append(ledger, fmt.Sprintf("%s/%s/%s:%s", fe.Design, fe.Arch, fe.Flow, fe.Stage))
-			}
-			wantLedger := []string{"FPU/granular-plb/flow a:flow", "FPU/granular-plb/flow b:skipped",
-				"FPU/lut-plb/flow a:skipped", "FPU/lut-plb/flow b:skipped"}
-			if !reflect.DeepEqual(ledger, wantLedger) {
-				t.Fatalf("chain=%v par=%d: ledger %v, want %v", chain, par, ledger, wantLedger)
-			}
+		// The ledger: the failed pin, then its three skipped
+		// dependents, in (design, arch, flow) order.
+		var ledger []string
+		for _, fe := range m.Errors {
+			ledger = append(ledger, fmt.Sprintf("%s/%s/%s:%s", fe.Design, fe.Arch, fe.Flow, fe.Stage))
+		}
+		wantLedger := []string{"FPU/granular-plb/flow a:flow", "FPU/granular-plb/flow b:skipped",
+			"FPU/lut-plb/flow a:skipped", "FPU/lut-plb/flow b:skipped"}
+		if !reflect.DeepEqual(ledger, wantLedger) {
+			t.Fatalf("par=%d: ledger %v, want %v", par, ledger, wantLedger)
+		}
 
-			// Progress: one line per report, in cell order, identical
-			// at every setting.
-			if len(lines) != 12 {
-				t.Fatalf("got %d progress lines, want 12", len(lines))
-			}
-			if i == 0 && par == 1 {
-				want = lines
-			} else if !reflect.DeepEqual(lines, want) {
-				t.Fatalf("chain=%v par=%d: progress order %q, want %q", chain, par, lines, want)
-			}
+		// Progress: one line per report, in cell order, identical
+		// at every setting.
+		if len(lines) != 12 {
+			t.Fatalf("got %d progress lines, want 12", len(lines))
+		}
+		if par == 1 {
+			want = lines
+		} else if !reflect.DeepEqual(lines, want) {
+			t.Fatalf("par=%d: progress order %q, want %q", par, lines, want)
 		}
 	}
 	for i, line := range want {
@@ -199,24 +191,22 @@ func TestExecuteMatrixAbortReturnsLowestFailure(t *testing.T) {
 		"Firewire/granular-plb/flow a": true, // a pin, but "Firewire" sorts after "FPU"
 		"NetworkSwitch/lut-plb/flow b": true,
 	}
-	for _, chain := range []bool{true, false} {
-		for _, par := range []int{1, 4} {
-			for run := 0; run < 10; run++ {
-				f := &fakeCells{designs: designs, fail: func(c Cell) bool {
-					return failing[designs[c.Design].Name+"/"+MatrixArchNames()[c.Arch]+"/"+c.Flow.String()]
-				}}
-				m, err := ExecuteMatrix(context.Background(), designs, f.runner(par, chain), false, nil)
-				var fe *FlowError
-				if !errors.As(err, &fe) || fe.Design != "FPU" || fe.Arch != "lut-plb" || fe.Flow != "flow a" {
-					t.Fatalf("chain=%v par=%d run %d: returned %v, want FPU/lut-plb/flow a", chain, par, run, err)
-				}
-				if m.Errors[0] != fe {
-					t.Fatalf("returned error is not the first ledger entry: %v", m.Errors)
-				}
-				for _, e := range m.Errors {
-					if e.Stage == "skipped" {
-						t.Fatalf("aborting matrix ledgered a skipped cell: %v", e)
-					}
+	for _, par := range []int{1, 4} {
+		for run := 0; run < 10; run++ {
+			f := &fakeCells{designs: designs, fail: func(c Cell) bool {
+				return failing[designs[c.Design].Name+"/"+MatrixArchNames()[c.Arch]+"/"+c.Flow.String()]
+			}}
+			m, err := ExecuteMatrix(context.Background(), designs, f.runner(par), false, nil)
+			var fe *FlowError
+			if !errors.As(err, &fe) || fe.Design != "FPU" || fe.Arch != "lut-plb" || fe.Flow != "flow a" {
+				t.Fatalf("par=%d run %d: returned %v, want FPU/lut-plb/flow a", par, run, err)
+			}
+			if m.Errors[0] != fe {
+				t.Fatalf("returned error is not the first ledger entry: %v", m.Errors)
+			}
+			for _, e := range m.Errors {
+				if e.Stage == "skipped" {
+					t.Fatalf("aborting matrix ledgered a skipped cell: %v", e)
 				}
 			}
 		}

@@ -147,7 +147,7 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 		// never outnumber the slots, however long a lane waits.
 		stages := opts.Stages
 		if stages == nil {
-			stages = newMemStageCache()
+			stages = NewMemStageCache()
 		}
 		body(func(c Cell) (*Report, error) {
 			d, arch := designs[c.Design], archs[c.Arch]
@@ -163,7 +163,7 @@ func RunMatrix(ctx context.Context, suite bench.Suite, opts MatrixOptions) (*Mat
 			return rep, err
 		})
 	}
-	return ExecuteMatrix(ctx, designs, CellRunner{Lane: lane, Chain: true}, opts.ContinueOnError, opts.Progress)
+	return ExecuteMatrix(ctx, designs, CellRunner{Lane: lane}, opts.ContinueOnError, opts.Progress)
 }
 
 // Get returns one report.

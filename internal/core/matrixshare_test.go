@@ -80,7 +80,7 @@ func TestRunMatrixAnnealsOncePerArch(t *testing.T) {
 // through placement and recomputes pack and route; the restore hands
 // both artifacts over.
 func TestMemStageCacheKeepsSharedStages(t *testing.T) {
-	stages := newMemStageCache()
+	stages := NewMemStageCache()
 	cfg := Config{Arch: cells.GranularPLB(), Flow: FlowB, Seed: 7, PlaceEffort: 1, Stages: stages}
 	d := bench.ALU(4)
 	first, _, err := RunFlow(context.Background(), d, cfg)
@@ -109,5 +109,83 @@ func TestMemStageCacheKeepsSharedStages(t *testing.T) {
 	second.StripMetrics()
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("restored run diverged from the computed one")
+	}
+}
+
+// TestMemStageCacheHandsFlowAToFlowB: a flow b after its flow a
+// restores map, compact and place from the in-memory tier; the restore
+// hands the artifacts over, so a second flow b computes them again.
+// All three flow b reports agree.
+func TestMemStageCacheHandsFlowAToFlowB(t *testing.T) {
+	stages := NewMemStageCache()
+	cfg := Config{Arch: cells.LUTPLB(), Flow: FlowA, Seed: 3, PlaceEffort: 1, Stages: stages}
+	d := bench.ALU(4)
+	if _, _, err := RunFlow(context.Background(), d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Flow = FlowB
+	all := []string{StageMap, StageCompact, StagePlace, StagePack, StageRoute}
+	var reps []*Report
+	for i, restored := range []bool{true, false} {
+		rep, _, err := RunFlow(context.Background(), d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits := hitsOf(t, rep.StageCache, all)
+		for _, stage := range all {
+			want := restored && stage != StagePack && stage != StageRoute
+			if hits[stage] != want {
+				t.Errorf("flow b #%d: stage %s hit=%v, want %v", i+1, stage, hits[stage], want)
+			}
+		}
+		rep.StripMetrics()
+		reps = append(reps, rep)
+	}
+	cold, _, err := RunFlow(context.Background(), d, Config{Arch: cfg.Arch, Flow: FlowB, Seed: 3, PlaceEffort: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.StripMetrics()
+	for i, rep := range reps {
+		if !reflect.DeepEqual(rep, cold) {
+			t.Errorf("flow b #%d diverged from a run without a stage cache", i+1)
+		}
+	}
+}
+
+// TestMemStageCacheBound: flow-a traffic over three bounds' worth of
+// distinct placements never leaves more than memStageBound artifacts in
+// the tier, and the newest placement is the one still held.
+func TestMemStageCacheBound(t *testing.T) {
+	stages := NewMemStageCache()
+	d := bench.Design{Name: "tiny", RTL: "module tiny(input a, input b, input c, output y); assign y = (a & b) ^ c; endmodule"}
+	cfg := Config{Arch: cells.GranularPLB(), Flow: FlowA, PlaceEffort: 1, Stages: stages}
+	for seed := int64(1); seed <= 3*memStageBound; seed++ {
+		cfg.Seed = seed
+		if _, _, err := RunFlow(context.Background(), d, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(stages.mem); n > memStageBound || len(stages.order) != n {
+			t.Fatalf("after %d placements the tier holds %d artifacts in %d order slots, bound %d",
+				seed, n, len(stages.order), memStageBound)
+		}
+	}
+	if len(stages.mem) != memStageBound {
+		t.Errorf("the tier holds %d artifacts, want the bound %d", len(stages.mem), memStageBound)
+	}
+	chain, err := stageChain(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := stages.mem[chain[2].Key]; !ok || chain[2].Stage != StagePlace {
+		t.Error("the newest placement was evicted")
+	}
+}
+
+// TestNewStageCacheNil: without a store there is no stage cache; only
+// NewMemStageCache makes the in-memory tier.
+func TestNewStageCacheNil(t *testing.T) {
+	if c := NewStageCache(nil); c != nil {
+		t.Fatalf("NewStageCache(nil) = %v, want nil", c)
 	}
 }

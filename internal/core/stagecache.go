@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -97,7 +98,7 @@ func archSignature(a *cells.PLBArch) string {
 
 // stageLink is one link of the stage cache's key chain. stageLinks is
 // the one list of them: their order, the knobs each key adds, each
-// artifact's decoder, and what RunMatrix's in-memory tier keeps.
+// artifact's decoder, and what the in-memory tier keeps.
 type stageLink struct {
 	stage string
 	// flowB: only flow b's chain has the link.
@@ -109,7 +110,8 @@ type stageLink struct {
 	decode func(raw []byte) any
 	// positions: the artifact carries the object positions.
 	positions bool
-	// mem: RunMatrix's in-memory tier keeps the link's artifacts.
+	// mem: the in-memory tier (NewMemStageCache) keeps the link's
+	// artifacts.
 	mem bool
 }
 
@@ -315,11 +317,13 @@ func (s StageCacheStats) Stages() []string {
 // bit-identical (after StripMetrics) with or without it.
 //
 // RunMatrix without a cache of its own backs each (design, arch) with
-// an in-memory tier (newMemStageCache): a map instead of a store,
-// keeping only the stages the other flow of the pair can restore.
+// an in-memory tier (NewMemStageCache): a bounded map instead of a
+// store, keeping only the stages the other flow of the pair can
+// restore.
 type StageCache struct {
 	store *artifact.Store
 	mem   map[string][]byte // the in-memory tier's artifacts (store is nil)
+	order []string          // the in-memory tier's keys, oldest first
 
 	mu     sync.Mutex
 	counts map[string]*StageCounts
@@ -334,15 +338,25 @@ func NewStageCache(store *artifact.Store) *StageCache {
 	return &StageCache{store: store, counts: make(map[string]*StageCounts)}
 }
 
-// newMemStageCache returns an empty in-memory stage cache. It keeps only
-// the links stageLinks marks mem, compact and place: their keys carry
-// no flow and no clock, so both flows of one (design, arch) share them, while pack
-// and route keys are unique to one matrix cell and would only hold
-// memory. Each artifact has one reader — the pair's flow b — so a
-// lookup hands the artifact over and drops it from the map. A repair
-// ladder that reads one twice recomputes it the second time; reports
-// are the same either way.
-func newMemStageCache() *StageCache {
+// memStageBound caps the in-memory tier's artifacts; a put past it
+// drops the oldest. A worker daemon without a data directory runs every
+// job against one tier, and a flow a whose flow b never reads it (the
+// flow b was cached, failed or went elsewhere) leaves its two artifacts
+// behind. 64 artifacts are 32 pairs, four paper-scale matrices' worth,
+// so one matrix's eight pairs never evict each other.
+const memStageBound = 64
+
+// NewMemStageCache returns an empty in-memory stage cache: the tier
+// RunMatrix gives each (design, arch) chain that has no cache of its
+// own, and the one a worker daemon without a data directory runs every
+// job against. It keeps only the links stageLinks marks mem, compact
+// and place: their keys carry no flow and no clock, so both flows of
+// one (design, arch) share them, while pack and route keys are unique
+// to one matrix cell and would only hold memory. Each artifact has one
+// reader — the pair's flow b — so a lookup hands the artifact over and
+// drops it from the map. A repair ladder that reads one twice
+// recomputes it the second time; reports are the same either way.
+func NewMemStageCache() *StageCache {
 	return &StageCache{mem: make(map[string][]byte), counts: make(map[string]*StageCounts)}
 }
 
@@ -395,10 +409,20 @@ func (c *StageCache) get(key string) ([]byte, bool) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		raw, ok := c.mem[key]
-		delete(c.mem, key)
+		if ok {
+			c.drop(key)
+		}
 		return raw, ok
 	}
 	return c.store.Get(key)
+}
+
+// drop removes an artifact from the in-memory tier. Callers hold c.mu.
+func (c *StageCache) drop(key string) {
+	delete(c.mem, key)
+	if i := slices.Index(c.order, key); i >= 0 {
+		c.order = slices.Delete(c.order, i, i+1)
+	}
 }
 
 // put stores an artifact, best-effort: a failed save costs a later run
@@ -409,7 +433,11 @@ func (c *StageCache) put(key string, payload []byte) {
 	}
 	if c.store == nil {
 		c.mu.Lock()
-		c.mem[key] = payload
+		c.drop(key)
+		c.mem[key], c.order = payload, append(c.order, key)
+		if len(c.order) > memStageBound {
+			c.drop(c.order[0])
+		}
 		c.mu.Unlock()
 		return
 	}

@@ -188,9 +188,9 @@ func stageWalk(t *testing.T) []stageWalkRecord {
 		}
 		recs = append(recs, stageWalkRecord{Name: c.name + "/keys", Keys: chain})
 		add("none", nil, c)
-		add("mem/cold", newMemStageCache(), c)
+		add("mem/cold", NewMemStageCache(), c)
 		if c.cfg.Flow == FlowB {
-			mem := newMemStageCache()
+			mem := NewMemStageCache()
 			a := c
 			a.cfg.Flow = FlowA
 			aChain, err := stageChain(a.d, a.cfg)

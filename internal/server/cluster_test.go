@@ -190,7 +190,8 @@ func TestRingSpreadsLoopbackMembers(t *testing.T) {
 
 // TestSchedulerPriorityFairnessAndStealing pins the queue discipline:
 // priority first, then least-recently-served tenant, then FIFO — and
-// an idle node's runner steals from another node's queue.
+// an idle node's runner steals from another node's queue, never a
+// follower.
 func TestSchedulerPriorityFairnessAndStealing(t *testing.T) {
 	mk := func(priority int, tenant string) *ticket {
 		return &ticket{priority: priority, tenant: tenant, home: "n1", res: make(chan ticketOutcome, 1)}
@@ -260,6 +261,26 @@ func TestSchedulerPriorityFairnessAndStealing(t *testing.T) {
 	}
 	if d := sc.depth("n3"); d != 1 {
 		t.Fatalf("n3 queue depth %d after requeue", d)
+	}
+
+	// A thief takes the head queued behind a follower, and a queue of
+	// followers alone offers it nothing. Re-homed off a dead node, a
+	// follower is an ordinary ticket again.
+	fo, head := mk(0, "ta"), mk(0, "ta")
+	fo.home, fo.follower, head.home = "n4", true, "n4"
+	sc.enqueue(fo)
+	sc.enqueue(head)
+	if tk, stolen = sc.next("n1", up); tk != head || !stolen {
+		t.Fatalf("steal from a queue holding a follower: ticket %v, stolen %v; want the head", tk, stolen)
+	}
+	sc.mu.Lock()
+	left := sc.popBest("n4", true)
+	sc.mu.Unlock()
+	if left != nil {
+		t.Fatal("a thief may take a follower")
+	}
+	if moved := sc.requeue("n4", func(*ticket) string { return "n5" }); moved != 1 || fo.follower {
+		t.Fatalf("requeue moved %d tickets, follower mark %v; want 1 and cleared", moved, fo.follower)
 	}
 	sc.close()
 	if sc.enqueue(mk(0, "ta")) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -38,10 +39,11 @@ type Coordinator struct {
 	sched   *scheduler
 	runners sync.WaitGroup // ticket runners and the health loop
 	// ranOn maps the content address of each ticket that completed off
-	// its key's ring owner (a steal) to the node that ran it, so a
-	// replay fetches the result there instead of recomputing it; it
-	// keeps the 1024 most recently used entries. Ticket runners write
-	// it while the jobs' lanes read it.
+	// its key's ring owner (a steal, or a follower homed on its lane's
+	// node) to the node that ran it, so a replay fetches the result
+	// there instead of recomputing it; it keeps the 1024 most recently
+	// used entries. Ticket runners write it while the jobs' lanes read
+	// it.
 	ranOn *lru
 
 	tickets, ticketRetries atomic.Int64
@@ -179,6 +181,12 @@ type ticket struct {
 	trace   *jobTrace
 	stolen  bool
 
+	// follower: the ticket is a lane's later cell, homed on the node
+	// that ran or served the cell before it, whose stage tier holds
+	// that cell's compacted netlist and placement. No other node's
+	// runner steals it.
+	follower bool
+
 	once sync.Once
 	res  chan ticketOutcome
 }
@@ -194,8 +202,9 @@ func (t *ticket) traceHeaderValue() string {
 }
 
 type ticketOutcome struct {
-	env *rawEnvelope
-	err error
+	env  *rawEnvelope
+	node string // the node that ran the ticket
+	err  error
 }
 
 // deliver resolves the ticket exactly once.
@@ -207,8 +216,9 @@ func (t *ticket) deliver(out ticketOutcome) {
 // a node: highest priority first; ties go to the tenant served least
 // recently (so equal-priority tenants round-robin instead of one bulk
 // submitter draining the node); final tie is FIFO. A runner whose own
-// queue is empty steals from the longest queue — which is also how a
-// dead node's leftover tickets drain after a re-shard.
+// queue is empty steals from the longest queue that holds a ticket
+// other than a follower — which is also how a dead node's leftover
+// tickets drain after a re-shard.
 type scheduler struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -278,7 +288,7 @@ func (sc *scheduler) next(node string, down func() bool) (t *ticket, stolen bool
 			return nil, false
 		}
 		if !down() {
-			if t := sc.popBest(node); t != nil {
+			if t := sc.popBest(node, false); t != nil {
 				sc.active[node]++
 				return t, false
 			}
@@ -288,10 +298,11 @@ func (sc *scheduler) next(node string, down func() bool) (t *ticket, stolen bool
 			// on an idle live node is left to its home runner; stealing
 			// it would trade shard/cache locality for nothing, and the
 			// re-run of a cached sweep then recomputes cells whose
-			// results live on the ring owner.
+			// results live on the ring owner. Followers are never
+			// stolen: away from their home they anneal again.
 			victim, max := "", 0
 			for other, q := range sc.queues {
-				if other == node || len(q) == 0 {
+				if other == node || !slices.ContainsFunc(q, stealable) {
 					continue
 				}
 				if len(q) < 2 && sc.active[other] < sc.lanes {
@@ -303,23 +314,30 @@ func (sc *scheduler) next(node string, down func() bool) (t *ticket, stolen bool
 			}
 			if victim != "" {
 				sc.active[node]++
-				return sc.popBest(victim), true
+				return sc.popBest(victim, true), true
 			}
 		}
 		sc.cond.Wait()
 	}
 }
 
+func stealable(t *ticket) bool { return !t.follower }
+
 // popBest removes and returns the node queue's best ticket per the
-// queue discipline (nil when empty). Callers hold sc.mu.
-func (sc *scheduler) popBest(node string) *ticket {
+// queue discipline, among the stealable ones for a thief (nil when
+// there is none). Callers hold sc.mu.
+func (sc *scheduler) popBest(node string, thief bool) *ticket {
 	q := sc.queues[node]
-	if len(q) == 0 {
-		return nil
-	}
-	best := 0
-	for i := 1; i < len(q); i++ {
-		a, b := q[i], q[best]
+	best := -1
+	for i, a := range q {
+		if thief && !stealable(a) {
+			continue
+		}
+		if best < 0 {
+			best = i
+			continue
+		}
+		b := q[best]
 		switch {
 		case a.priority != b.priority:
 			if a.priority > b.priority {
@@ -333,6 +351,9 @@ func (sc *scheduler) popBest(node string) *ticket {
 			best = i
 		}
 	}
+	if best < 0 {
+		return nil
+	}
 	t := q[best]
 	sc.queues[node] = append(q[:best], q[best+1:]...)
 	sc.serveSq++
@@ -341,8 +362,9 @@ func (sc *scheduler) popBest(node string) *ticket {
 }
 
 // requeue moves every ticket queued on a (dead) node to the home the
-// rehome function assigns; tickets with no possible home fail. It
-// returns how many tickets moved.
+// rehome function assigns — a follower too, which anneals there like
+// any other ticket; tickets with no possible home fail. It returns how
+// many tickets moved.
 func (sc *scheduler) requeue(from string, rehome func(*ticket) string) int {
 	sc.mu.Lock()
 	q := sc.queues[from]
@@ -354,7 +376,7 @@ func (sc *scheduler) requeue(from string, rehome func(*ticket) string) int {
 			t.deliver(ticketOutcome{err: errors.New("no live worker nodes")})
 			continue
 		}
-		t.home = home
+		t.home, t.follower = home, false
 		sc.queues[home] = append(sc.queues[home], t)
 		moved++
 	}
@@ -496,7 +518,7 @@ func (c *Coordinator) dispatch(n *nodeClient, t *ticket) {
 			c.ranOn.put(t.key, n.base)
 		}
 		record(env.ID, env.Cached, env.Error)
-		t.deliver(ticketOutcome{env: env})
+		t.deliver(ticketOutcome{env: env, node: n.base})
 	default:
 		msg := env.Error
 		if msg == "" {
@@ -555,7 +577,7 @@ func (c *Coordinator) resubmit(t *ticket, cause error) {
 	t.trace.instant("reshard", map[string]any{"ticket": t.name, "to": home, "attempts": t.attempts})
 	c.log.Info("ticket resharded", "ticket_id", t.name, "to", home, "attempts", t.attempts,
 		"trace_id", t.traceID, "cause", cause.Error())
-	t.home = home
+	t.home, t.follower = home, false
 	if !c.sched.enqueue(t) {
 		t.deliver(ticketOutcome{err: errors.New("coordinator shutting down")})
 	}
@@ -615,25 +637,37 @@ func (c *Coordinator) healthLoop() {
 	}
 }
 
-// runTicket is the blocking ticket helper the coordinator's jobs use.
-// A result the cluster already computed is fetched, not recomputed:
-// from the node a steal left it on, then from the key's ring owner.
-// Only when both miss is the ticket enqueued and awaited; a miss or a
-// down node also forgets the off-owner entry. The owning job supplies
-// the scheduling coordinates (priority, tenant) and the trace context;
+// runTicket is the blocking ticket helper the coordinator's jobs use,
+// and returns the node that ran or served the ticket. after is that
+// node for the previous cell of the ticket's lane ("" for a lane's
+// first cell or a whole job). A result the cluster already computed is
+// fetched, not recomputed: from after, then from the node a steal or a
+// follower left it on, then from the key's ring owner. Only when all
+// miss is the ticket enqueued and awaited: as a follower homed on after
+// while that node is up, so the run restores the previous cell's
+// stages there, and otherwise on the ring owner. A miss or a down node
+// also forgets the off-owner entry. The owning job supplies the
+// scheduling coordinates (priority, tenant) and the trace context;
 // name labels the ticket on the merged timeline, and k's route is
 // where the ticket goes.
-func (c *Coordinator) runTicket(ctx context.Context, j *job, name string, k *kind, body []byte, key string) (*rawEnvelope, error) {
+func (c *Coordinator) runTicket(ctx context.Context, j *job, name string, k *kind, body []byte, key, after string) (*rawEnvelope, string, error) {
 	c.tickets.Add(1)
+	if env, hit := c.fetch(ctx, j, name, after, key); hit {
+		return env, after, nil
+	}
 	owner := c.ring.owner(key)
 	if ran, ok := c.ranOn.get(key); ok && ran != owner {
-		if env, hit := c.fetch(ctx, j, name, ran.(string), key); hit {
-			return env, nil
+		if ran != after {
+			if env, hit := c.fetch(ctx, j, name, ran.(string), key); hit {
+				return env, ran.(string), nil
+			}
 		}
 		c.ranOn.remove(key)
 	}
-	if env, hit := c.fetch(ctx, j, name, owner, key); hit {
-		return env, nil
+	if owner != after {
+		if env, hit := c.fetch(ctx, j, name, owner, key); hit {
+			return env, owner, nil
+		}
 	}
 	c.peerMisses.Add(1)
 	t := &ticket{
@@ -641,17 +675,19 @@ func (c *Coordinator) runTicket(ctx context.Context, j *job, name string, k *kin
 		key: key, body: body, traceID: j.traceID, trace: j.trace,
 		res: make(chan ticketOutcome, 1),
 	}
-	if t.home = c.ring.owner(key); t.home == "" {
-		return nil, errors.New("no live worker nodes")
+	if n := c.nodes[after]; n != nil && !n.down.Load() {
+		t.home, t.follower = after, true
+	} else if t.home = c.ring.owner(key); t.home == "" {
+		return nil, "", errors.New("no live worker nodes")
 	}
 	if !c.sched.enqueue(t) {
-		return nil, errors.New("coordinator shutting down")
+		return nil, "", errors.New("coordinator shutting down")
 	}
 	select {
 	case out := <-t.res:
-		return out.env, out.err
+		return out.env, out.node, out.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, "", ctx.Err()
 	}
 }
 
@@ -703,7 +739,7 @@ func (c *Coordinator) execute(ctx context.Context, j *job) (any, bool, error) {
 		res, err := comp.fanOut(ctx, c.cellTickets(ctx, j), j.trace)
 		return res, false, err
 	}
-	env, err := c.runTicket(ctx, j, j.label, j.kind, j.body, j.key)
+	env, _, err := c.runTicket(ctx, j, j.label, j.kind, j.body, j.key, "")
 	switch {
 	case err != nil:
 		return nil, false, err
@@ -714,16 +750,27 @@ func (c *Coordinator) execute(ctx context.Context, j *job) (any, bool, error) {
 }
 
 // ticketFunc runs one composite cell — its canonical request under a
-// ticket label — and returns the cell's report.
-type ticketFunc func(req core.FlowRequest, label string) (*core.Report, error)
+// ticket label — after the node that ran or served the previous cell
+// of its lane ("" for a lane's first cell), and returns the cell's
+// report and the node that ran or served it.
+type ticketFunc func(req core.FlowRequest, label, after string) (rep *core.Report, node string, err error)
 
 // cells adapts a ticket function to the core executor: ticket builds a
-// cell's request and label, and each cell is a ticket of its own, so a
-// composite's dependent cells go out at once — workers keep no stage
-// tier a chain of cells could share.
+// cell's request and label. A matrix runs one lane per (design, arch),
+// as RunMatrix does, and each lane's later cell goes after the node its
+// previous cell ran or was served on, where the worker's stage tier
+// hands it that cell's compacted netlist and placement. A sweep's
+// cells run on lanes of their own.
 func (run ticketFunc) cells(ticket func(core.Cell) (core.FlowRequest, string)) core.CellRunner {
-	cell := func(c core.Cell) (*core.Report, error) { return run(ticket(c)) }
-	return core.CellRunner{Lane: func(_ float64, body func(core.CellFunc)) { body(cell) }}
+	lane := func(_ float64, body func(core.CellFunc)) {
+		var node string
+		body(func(c core.Cell) (rep *core.Report, err error) {
+			req, label := ticket(c)
+			rep, node, err = run(req, label, node)
+			return rep, err
+		})
+	}
+	return core.CellRunner{Lane: lane}
 }
 
 // cellTickets runs each cell as a run ticket. A failed ticket comes
@@ -731,27 +778,27 @@ func (run ticketFunc) cells(ticket func(core.Cell) (core.FlowRequest, string)) c
 // its request resolves to, so it is ledgered exactly as a single node
 // ledgers it.
 func (c *Coordinator) cellTickets(ctx context.Context, j *job) ticketFunc {
-	return func(req core.FlowRequest, label string) (*core.Report, error) {
+	return func(req core.FlowRequest, label, after string) (*core.Report, string, error) {
 		body, key, err := cellTicket(req)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
-		env, err := c.runTicket(ctx, j, label, runKind, body, key)
+		env, node, err := c.runTicket(ctx, j, label, runKind, body, key, after)
 		switch {
 		case err != nil:
-			return nil, err
+			return nil, "", err
 		case env.Status == "failed":
 			d, cfg, err := req.Resolve()
 			if err != nil {
-				return nil, err
+				return nil, node, err
 			}
-			return nil, core.ParseFlowError(d.Name, cfg.Arch.Name, cfg.Flow.String(), env.Stage, env.Error)
+			return nil, node, core.ParseFlowError(d.Name, cfg.Arch.Name, cfg.Flow.String(), env.Stage, env.Error)
 		}
 		rep := &core.Report{}
 		if err := json.Unmarshal(env.Result, rep); err != nil {
-			return nil, fmt.Errorf("decoding cell report: %w", err)
+			return nil, node, fmt.Errorf("decoding cell report: %w", err)
 		}
-		return rep, nil
+		return rep, node, nil
 	}
 }
 

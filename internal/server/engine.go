@@ -168,7 +168,8 @@ type engine struct {
 	// the artifact store holding completed results, and the
 	// stage-granular build cache over that store — every flow run a
 	// worker executes restores the deepest cached prefix of its
-	// stage-key chain and persists the stages it computes.
+	// stage-key chain and persists the stages it computes. A worker
+	// without a store runs against a bounded in-memory tier instead.
 	journal *journal
 	store   *artifact.Store
 	stages  *core.StageCache

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -34,12 +33,12 @@ func TestCellTicketKeysMatchWorkerKeys(t *testing.T) {
 		mu    sync.Mutex
 		cells []core.FlowRequest
 	)
-	record := ticketFunc(func(req core.FlowRequest, _ string) (*core.Report, error) {
+	record := ticketFunc(func(req core.FlowRequest, label, _ string) (*core.Report, string, error) {
 		mu.Lock()
 		cells = append(cells, req)
 		mu.Unlock()
 		rep := pin
-		return &rep, nil
+		return &rep, label, nil
 	})
 	ctx := context.Background()
 	for _, body := range []string{
@@ -141,99 +140,172 @@ func FuzzRunSpec(f *testing.F) {
 	})
 }
 
-// TestOffOwnerResultFetchedWhereItRan: a cell stolen from its ring
-// owner leaves its result on the thief, and a replay fetches it there
-// instead of recomputing it. With the entry gone the replay falls back
-// to the owner, and with the thief down to the owner and then to
-// compute. The workers have no peer tier, so a node answers only for
-// what it computed itself.
-func TestOffOwnerResultFetchedWhereItRan(t *testing.T) {
-	if testing.Short() {
-		t.Skip("matrix runs in -short mode")
-	}
-	// A blocker run holds its owner's only slot, so the owner's
-	// coordinator lane stays busy and the other node steals every
-	// ticket homed there.
-	const blockerBody = `{"design":"alu","seed":99,"place_effort":1}`
+// blockedCluster is a coordinator with one ticket lane per node and a
+// one-entry composite cache over two single-slot workers without a
+// data directory or a peer tier, so a node answers only for what it
+// computed itself. A blocker run holds its owner's only slot, so the
+// owner's coordinator lane stays busy and the other node, the thief,
+// steals every head homed on the owner.
+type blockedCluster struct {
+	c            *Coordinator
+	url          string // the coordinator's
+	srv          map[string]*Server
+	urls         []string
+	owner, thief string
+	held         chan struct{}
+	unblock      func()
+}
+
+const blockerBody = `{"design":"alu","seed":99,"place_effort":1}`
+
+func newBlockedCluster(t *testing.T) *blockedCluster {
+	t.Helper()
 	blocker, err := runKind.spec(strings.NewReader(blockerBody))
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, release := make(chan struct{}), make(chan struct{})
+	b := &blockedCluster{srv: map[string]*Server{}, held: make(chan struct{})}
+	release := make(chan struct{})
 	var heldOnce, releaseOnce sync.Once
-	unblock := func() { releaseOnce.Do(func() { close(release) }) }
-	defer unblock() // a failed test must not leave a worker job blocked
+	b.unblock = func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(b.unblock) // a failed test must not leave a worker job blocked
 	hold := func(j *job) {
 		if j.key == blocker.key {
-			heldOnce.Do(func() { close(held) })
+			heldOnce.Do(func() { close(b.held) })
 			<-release
 		}
 	}
-	srv := make(map[string]*Server)
-	var urls []string
 	for i := 0; i < 2; i++ {
 		s, ts := newTestServer(t, Options{Workers: 1, testJobStart: hold})
-		srv[ts.URL], urls = s, append(urls, ts.URL)
+		b.srv[ts.URL], b.urls = s, append(b.urls, ts.URL)
 	}
-	c, cts := newTestCoordinator(t, CoordinatorOptions{Workers: urls, NodeConcurrency: 1, CacheSize: 1})
-	owner := c.ring.owner(blocker.key)
-	thief := urls[0]
-	if thief == owner {
-		thief = urls[1]
+	c, cts := newTestCoordinator(t, CoordinatorOptions{Workers: b.urls, NodeConcurrency: 1, CacheSize: 1})
+	b.c, b.url = c, cts.URL
+	b.owner = c.ring.owner(blocker.key)
+	b.thief = b.urls[0]
+	if b.thief == b.owner {
+		b.thief = b.urls[1]
 	}
+	return b
+}
 
-	// The first matrix's seed is picked so the blocked owner owns at
-	// least one pin: at least one of its cells is stolen.
-	seed := int64(1)
-	for ; ; seed++ {
+// seed returns the first matrix seed whose pins the blocked owner owns
+// at least one of, so at least one head is stolen, and that pin's key.
+func (b *blockedCluster) seed(t *testing.T) (int64, string) {
+	t.Helper()
+	for seed := int64(1); ; seed++ {
 		plan := core.MatrixPlan{Scale: "test", Seed: seed, PlaceEffort: 1}
-		owned := 0
 		for _, d := range core.MatrixDesignNames() {
 			_, key, err := cellTicket(plan.PinTicket(d))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.ring.owner(key) == owner {
-				owned++
+			if b.c.ring.owner(key) == b.owner {
+				return seed, key
 			}
 		}
-		if owned > 0 {
-			break
+	}
+}
+
+// coldMatrix runs body while the blocker holds the owner, then lets the
+// blocker finish, and returns the matrix result.
+func (b *blockedCluster) coldMatrix(t *testing.T, body string) json.RawMessage {
+	t.Helper()
+	if code, jr := httpJSON(t, "POST", b.url+"/v1/runs", blockerBody); code != http.StatusAccepted {
+		t.Fatalf("blocker run: status %d (%s)", code, jr.Error)
+	}
+	select {
+	case <-b.held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the blocker run never reached its owner")
+	}
+	code, cold := httpJSON(t, "POST", b.url+"/v1/matrix?wait=1", body)
+	if code != http.StatusOK || cold.Status != "done" {
+		t.Fatalf("cold matrix: status %d job %q (%s)", code, cold.Status, cold.Error)
+	}
+	b.unblock()
+	if code, jr := httpJSON(t, "POST", b.url+"/v1/runs?wait=1", blockerBody); code != http.StatusOK || jr.Status != "done" {
+		t.Fatalf("blocker run: status %d job %q (%s)", code, jr.Status, jr.Error)
+	}
+	// The cold matrix ran every cell on the thief; the owner ran only
+	// the blocker.
+	for node, want := range map[string]int64{b.thief: 16, b.owner: 1} {
+		if got := b.c.nodes[node].dispatched.Load(); got != want {
+			t.Errorf("%s ran %d tickets, want %d", node, got, want)
 		}
 	}
+	return cold.Result
+}
+
+// matrixCellKeys returns the content addresses of a test-scale matrix's
+// 16 cells: the pins, and the dependents at the clock result reports.
+func matrixCellKeys(t *testing.T, plan core.MatrixPlan, result json.RawMessage) []string {
+	t.Helper()
+	var m MatrixResult
+	if err := json.Unmarshal(result, &m); err != nil {
+		t.Fatal(err)
+	}
+	suite, err := core.MatrixSuite(plan.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for i, d := range suite.All() {
+		name := core.MatrixDesignNames()[i]
+		reqs := []core.FlowRequest{plan.PinTicket(name)}
+		for _, cell := range plan.DependentTickets(name, m.Reports[d.Name]["granular-plb"]["flow b"].ClockPeriod) {
+			reqs = append(reqs, cell.Req)
+		}
+		for _, req := range reqs {
+			_, key, err := cellTicket(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, key)
+		}
+	}
+	return keys
+}
+
+// TestOffOwnerResultFetchedWhereItRan: a cell that ran off its ring
+// owner (a stolen head, or a follower homed on its head's node) leaves
+// its result there, and a replay fetches it there instead of
+// recomputing it. With a stolen pin's entry gone the replay falls back
+// to the owner, and with the thief down to the owner and then to
+// compute.
+func TestOffOwnerResultFetchedWhereItRan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix runs in -short mode")
+	}
+	b := newBlockedCluster(t)
+	c, srv, urls, owner, thief := b.c, b.srv, b.urls, b.owner, b.thief
+	seed, pinKey := b.seed(t)
 	m1 := fmt.Sprintf(`{"seed":%d,"place_effort":1}`, seed)
 	// m2 is a different matrix (its own composite key, so it evicts m1
 	// from the one-entry composite cache) over the same cells.
 	m2 := fmt.Sprintf(`{"seed":%d,"place_effort":1,"continue_on_error":true}`, seed)
+	coldResult := b.coldMatrix(t, m1)
 
-	if code, jr := httpJSON(t, "POST", cts.URL+"/v1/runs", blockerBody); code != http.StatusAccepted {
-		t.Fatalf("blocker run: status %d (%s)", code, jr.Error)
+	// Every cell ran on the thief, so the off-owner entries are the
+	// cells the blocked node owns: its stolen heads and their
+	// followers, and the followers of the thief's own heads that the
+	// blocked node owns.
+	owned := 0
+	for _, key := range matrixCellKeys(t, core.MatrixPlan{Scale: "test", Seed: seed, PlaceEffort: 1}, coldResult) {
+		if c.ring.owner(key) == owner {
+			owned++
+		}
 	}
-	select {
-	case <-held:
-	case <-time.After(30 * time.Second):
-		t.Fatal("the blocker run never reached its owner")
+	if stolen := c.steals.Load(); stolen == 0 || c.ranOn.len() != owned {
+		t.Fatalf("%d tickets stolen, %d off-owner entries; want > 0 stolen and %d entries, one per cell the blocked node owns",
+			stolen, c.ranOn.len(), owned)
 	}
-	code, cold := httpJSON(t, "POST", cts.URL+"/v1/matrix?wait=1", m1)
-	if code != http.StatusOK || cold.Status != "done" {
-		t.Fatalf("cold matrix: status %d job %q (%s)", code, cold.Status, cold.Error)
-	}
-	unblock()
-	if code, jr := httpJSON(t, "POST", cts.URL+"/v1/runs?wait=1", blockerBody); code != http.StatusOK || jr.Status != "done" {
-		t.Fatalf("blocker run: status %d job %q (%s)", code, jr.Status, jr.Error)
-	}
-	stolen := c.steals.Load()
-	if stolen == 0 || c.ranOn.len() != int(stolen) {
-		t.Fatalf("%d tickets stolen, %d off-owner entries; want > 0 and equal", stolen, c.ranOn.len())
-	}
-	var keys []string
 	c.ranOn.mu.Lock()
 	for key, el := range c.ranOn.m {
 		if node := el.Value.(*lruEntry).val; node != thief || c.ring.owner(key) != owner {
 			t.Errorf("off-owner entry %s: ran on %v, owned by %s; want ran on %s, owned by %s",
 				key, node, c.ring.owner(key), thief, owner)
 		}
-		keys = append(keys, key)
 	}
 	c.ranOn.mu.Unlock()
 
@@ -247,14 +319,14 @@ func TestOffOwnerResultFetchedWhereItRan(t *testing.T) {
 			d0[u], s0[u] = c.nodes[u].dispatched.Load(), srv[u].peerServed.Load()
 		}
 		hits := c.cacheHits.Load()
-		code, jr := httpJSON(t, "POST", cts.URL+"/v1/matrix?wait=1", body)
+		code, jr := httpJSON(t, "POST", b.url+"/v1/matrix?wait=1", body)
 		if code != http.StatusOK || jr.Status != "done" {
 			t.Fatalf("replay %s: status %d job %q (%s)", body, code, jr.Status, jr.Error)
 		}
 		if c.cacheHits.Load() != hits {
 			t.Fatalf("replay %s hit the composite cache", body)
 		}
-		if !bytes.Equal(jr.Result, cold.Result) {
+		if !bytes.Equal(jr.Result, coldResult) {
 			t.Fatalf("replay %s is not byte-identical to the cold matrix", body)
 		}
 		for _, u := range urls {
@@ -270,8 +342,10 @@ func TestOffOwnerResultFetchedWhereItRan(t *testing.T) {
 	replay(m2, nil, map[string]int64{thief: 16})
 	replay(m1, nil, map[string]int64{thief: 16})
 
-	// Entry gone: the owner misses, and the cell computes there.
-	c.ranOn.remove(keys[0])
+	// A stolen pin's entry gone: the owner misses, and the pin computes
+	// there. Its follower is still found on the thief, through its own
+	// entry or its owner.
+	c.ranOn.remove(pinKey)
 	replay(m2, map[string]int64{owner: 1}, map[string]int64{thief: 15})
 
 	// Thief down: its entries go, and every cell falls to the owner,
@@ -352,50 +426,11 @@ func TestWarmReplaysReuseConnections(t *testing.T) {
 }
 
 // BenchmarkCoordinatorMatrixReplay times a warm cluster replay of the
-// Table 1/2 matrix, set up as perf's cluster-matrix workload is: a
-// coordinator (two tickets in flight per node, a one-entry composite
-// cache) over two single-slot workers that form a peer-cache ring. Two
-// warm matrices replay alternately, so every replay misses the
-// composite cache and resolves its 16 cells from the workers' caches.
+// Table 1/2 matrix (benchCluster). Two warm matrices replay
+// alternately, so every replay misses the composite cache and resolves
+// its 16 cells from the workers' caches.
 func BenchmarkCoordinatorMatrixReplay(b *testing.B) {
-	wts := make([]*httptest.Server, 2)
-	urls := make([]string, len(wts))
-	for i := range wts {
-		wts[i] = httptest.NewUnstartedServer(nil)
-		urls[i] = "http://" + wts[i].Listener.Addr().String()
-	}
-	for i, ts := range wts {
-		s, err := New(Options{Workers: 1, PeerLookup: NewPeerLookup(urls[i], urls)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts.Config.Handler = s
-		ts.Start()
-		defer s.Shutdown(context.Background())
-		defer ts.Close()
-	}
-	c, err := NewCoordinator(CoordinatorOptions{Workers: urls, NodeConcurrency: 2, CacheSize: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Shutdown(context.Background())
-	cts := httptest.NewServer(c)
-	defer cts.Close()
-	client := &http.Client{}
-	defer client.CloseIdleConnections()
-	post := func(body string) {
-		resp, err := client.Post(cts.URL+"/v1/matrix?wait=1", "application/json", strings.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var jr rawResponse
-		err = json.NewDecoder(resp.Body).Decode(&jr)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if err != nil || jr.Status != "done" {
-			b.Fatalf("matrix %s: status %q (%s), decode error %v", body, jr.Status, jr.Error, err)
-		}
-	}
+	post := benchCluster(b)
 	matrices := []string{`{"seed":1,"place_effort":3}`, `{"seed":2,"place_effort":3}`}
 	for _, m := range matrices {
 		post(m) // cold

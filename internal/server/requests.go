@@ -223,10 +223,10 @@ func (r MatrixRequest) runLocal(ctx context.Context, tr *obs.Tracer, stages *cor
 }
 
 // fanOut executes the matrix through core.ExecuteMatrix with cells as
-// tickets — per design the clock-pinning cell first, then its three
-// dependents at once, pinned to the derived clock — so pinning, the
-// ledger, the returned error and the merged MatrixResult are the ones
-// a single node computes.
+// tickets — per design the clock-pinning cell first, then its
+// dependents pinned to the derived clock, each flow b after its flow a
+// — so pinning, the ledger, the returned error and the merged
+// MatrixResult are the ones a single node computes.
 func (r MatrixRequest) fanOut(ctx context.Context, run ticketFunc, tr *jobTrace) (any, error) {
 	n := r.normalize()
 	suite, err := core.MatrixSuite(n.Scale)

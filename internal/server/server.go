@@ -132,6 +132,12 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s.engine = e
+	if e.stages == nil {
+		// Without a data directory the worker keeps a bounded in-memory
+		// stage tier, so a flow b the coordinator sends after its flow a
+		// restores that run's compacted netlist and placement.
+		e.stages = core.NewMemStageCache()
+	}
 	e.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheLookup)
 	e.launchAll(pending)
 	return s, nil
